@@ -28,7 +28,9 @@ from repro.env import env_str
 #: fast_rng artifact joined the set.
 #: v3: sweep_scheduler grew the fused series + fusion counters, and the
 #: fused_sweep artifact joined the set.
-BENCH_JSON_SCHEMA = 3
+#: v4: decoder_throughput's mwpm series grew the matcher-tier counters
+#: (dp_decodes, tie_fallbacks, tail_fallbacks).
+BENCH_JSON_SCHEMA = 4
 
 
 @pytest.fixture(scope="session")

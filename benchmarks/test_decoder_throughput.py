@@ -92,6 +92,12 @@ def test_decoder_throughput(benchmark, benchmark_seed):
                     "memo_evictions": decoder.memo_evictions,
                     "memo_size": decoder.memo_size,
                 }
+                # Which matcher tier solved each distinct syndrome (subset
+                # DP, networkx on a tie, networkx for the large-k tail).
+                if name == "mwpm":
+                    memo.update(dp_decodes=decoder.dp_decodes,
+                                tie_fallbacks=decoder.tie_fallbacks,
+                                tail_fallbacks=decoder.tail_fallbacks)
 
                 base_shots = min(shots, _BASELINE_SHOTS)
                 if name == "mwpm":

@@ -15,6 +15,7 @@ task field that skips the hash, a stray ``np.random`` call, a raw
  R004   no order-dependent iteration over sets / directory listings
  R005   no mutable default args; shared module state takes a lock
  R006   content-hash completeness of every registered task spec
+ R007   third-party imports are declared in ``pyproject.toml``
 ======  ==========================================================
 
 Run ``python -m repro.lint`` (or the ``repro-lint`` console script) from

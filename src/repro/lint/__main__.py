@@ -20,7 +20,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Determinism & invariant static analysis for this repo "
-                    "(rules R001-R006; see README 'Determinism contract').",
+                    "(rules R001-R007; see README 'Determinism contract').",
     )
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint "

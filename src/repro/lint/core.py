@@ -261,6 +261,7 @@ def _load_rule_modules() -> None:
         return
     # Imported for their registration side effect.
     from . import (  # noqa: F401
+        rules_deps,
         rules_env,
         rules_hash,
         rules_order,

@@ -24,7 +24,7 @@ def test_repo_tree_is_lint_clean():
 
 def test_all_rules_are_registered():
     ids = sorted(rule.rule_id for rule in iter_rules())
-    assert ids == ["R001", "R002", "R003", "R004", "R005", "R006"]
+    assert ids == ["R001", "R002", "R003", "R004", "R005", "R006", "R007"]
 
 
 def test_json_report_shape():

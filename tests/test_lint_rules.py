@@ -13,6 +13,7 @@ import json
 import textwrap
 
 from repro.lint import lint_source
+from repro.lint.rules_deps import declared_imports
 from repro.lint.rules_hash import check_task_class
 
 
@@ -284,6 +285,87 @@ class TestR005State:
             def enqueue(job):
                 _JOBS.append(job)
         """) == ["R005"]
+
+
+# ----------------------------------------------------------------------
+# R007 — third-party imports are declared
+# ----------------------------------------------------------------------
+class TestR007Deps:
+    def test_stdlib_and_first_party_are_fine(self):
+        assert rule_ids("""
+            from __future__ import annotations
+            import os.path
+            from concurrent.futures import ThreadPoolExecutor
+            import repro.engine
+            from . import sibling
+            from ..decoder import matching
+        """, rules=["R007"]) == []
+
+    def test_declared_runtime_dependencies_are_fine(self):
+        assert rule_ids("""
+            import numpy as np
+            import networkx as nx
+            from scipy.sparse.csgraph import dijkstra
+        """, rules=["R007"]) == []
+
+    def test_flags_undeclared_import(self):
+        found = findings("""
+            import numpy as np
+            import pymatching
+            from stim import Circuit
+        """, rules=["R007"])
+        assert [(f.rule, f.line) for f in found] == [("R007", 3), ("R007", 4)]
+        assert "'pymatching'" in found[0].message
+
+    def test_flags_undeclared_import_inside_a_function(self):
+        assert rule_ids("""
+            def decode():
+                import sinter
+                return sinter
+        """, rules=["R007"]) == ["R007"]
+
+    def test_test_extra_is_fine_in_tests_and_benchmarks(self):
+        source = """
+            import pytest
+            from hypothesis import given
+            from conftest import write_bench_json
+        """
+        assert rule_ids(source, path="tests/test_x.py", rules=["R007"]) == []
+        assert rule_ids(source, path="benchmarks/test_x.py", rules=["R007"]) == []
+
+    def test_test_extra_is_flagged_in_src(self):
+        found = findings("""
+            from hypothesis import given
+        """, rules=["R007"])
+        assert [f.rule for f in found] == ["R007"]
+        assert "[test] extra" in found[0].message
+
+    def test_pragma_suppresses(self):
+        assert rule_ids("""
+            import pymatching  # repro-lint: ignore[R007] -- optional speedup
+        """, rules=["R007"]) == []
+
+    def test_declared_imports_parser(self):
+        text = textwrap.dedent("""
+            [project]
+            name = "x"
+            dependencies = [
+                "numpy>=1.24",  # comment with a ] bracket
+                'Scikit-Learn[extra] ; python_version >= "3.10"',
+                "ruamel.yaml",
+            ]
+
+            [project.optional-dependencies]
+            docs = ["sphinx"]
+            test = ["pytest>=7.0", "pytest-benchmark>=4.0"]
+
+            [tool.other]
+            dependencies = ["not-a-dependency"]
+        """)
+        runtime, test_extra = declared_imports(text)
+        assert runtime == {"numpy", "scikit_learn", "ruamel_yaml"}
+        assert test_extra == {"pytest", "pytest_benchmark"}
+        assert declared_imports("[project]\nname = 'x'\n") == (frozenset(), frozenset())
 
 
 # ----------------------------------------------------------------------

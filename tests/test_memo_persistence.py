@@ -1,12 +1,9 @@
-"""Syndrome-memo LRU, decode fanout, and on-disk memo persistence.
+"""Syndrome-memo LRU and on-disk memo persistence.
 
-Three decode-side behaviours ride the fast-RNG PR:
+Two decode-side behaviours:
 
 * the cross-batch syndrome memo evicts least-recently-used (hits refresh
   recency) instead of FIFO, so hot syndromes survive long varied sweeps;
-* batches with many unknown syndromes can fan ``_decode_fired`` across a
-  thread pool (``REPRO_DECODE_FANOUT``) with bit-identical results *and*
-  counters;
 * the memo round-trips through the content-addressed on-disk cache
   (keyed by task hash + decoder name), so a restarted worker's first
   shard starts warm (``memo_size > 0`` before any decode).
@@ -17,7 +14,7 @@ import pytest
 
 import repro.engine.executor as ex
 from repro.core import adapt_patch
-from repro.decoder.base import BatchDecoderBase, decode_fanout_threshold
+from repro.decoder.base import BatchDecoderBase
 from repro.engine import LerPointTask
 from repro.engine.cache import ResultCache
 from repro.engine.pipeline import (
@@ -54,7 +51,6 @@ def _clean_memo_state(monkeypatch):
     """Isolate each test from ambient cache config and warm task memos."""
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_MEMO_PERSIST", raising=False)
-    monkeypatch.delenv("REPRO_DECODE_FANOUT", raising=False)
     memo_preload(None)
     ex._TASK_MEMO.clear()
     yield
@@ -133,46 +129,6 @@ class TestMemoExportImport:
         b = CountingDecoder()
         assert b.import_memo([[[1], [0]]]) == 0
         assert b.memo_size == 0
-
-
-# ----------------------------------------------------------------------
-# Decode fanout
-# ----------------------------------------------------------------------
-class TestDecodeFanout:
-    def test_env_validation(self):
-        assert decode_fanout_threshold(env={}) == 0
-        assert decode_fanout_threshold(env={"REPRO_DECODE_FANOUT": "8"}) == 8
-        with pytest.raises(ValueError, match="REPRO_DECODE_FANOUT"):
-            decode_fanout_threshold(env={"REPRO_DECODE_FANOUT": "-1"})
-        with pytest.raises(ValueError, match="REPRO_DECODE_FANOUT"):
-            decode_fanout_threshold(env={"REPRO_DECODE_FANOUT": "many"})
-
-    def test_fanned_batch_bit_identical(self, monkeypatch):
-        # A real d=3 pipeline run with aggressive fanout must reproduce the
-        # serial failures AND the serial memo/counter bookkeeping.
-        task = _task(0.01)
-        circuit = task.build_circuit()
-
-        def run():
-            ex._TASK_MEMO.clear()
-            pipeline, _ = ex._context_for(task)
-            stats = pipeline.run(4000, seed=20240427)
-            dec = pipeline.decoder
-            return (stats.failures, stats.distinct_syndromes,
-                    stats.memo_hits, dec.memo_size, dec.decoded_syndromes)
-
-        serial = run()
-        monkeypatch.setenv("REPRO_DECODE_FANOUT", "1")
-        fanned = run()
-        assert fanned == serial
-        assert circuit.num_detectors > 0  # sanity: real decode happened
-
-    def test_fanout_only_above_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_FANOUT", "3")
-        dec = CountingDecoder()
-        out = dec.decode_fired_batch([(1,), (2,)])
-        assert out == [frozenset({1}), frozenset({0})]
-        assert dec.decoded_syndromes == 2
 
 
 # ----------------------------------------------------------------------
