@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates the data behind one figure or table of the paper
-at laptop scale (see EXPERIMENTS.md for the scale mapping) and prints the
+at laptop scale (see "Scale mapping" in the README) and prints the
 resulting series so the run doubles as a reproduction report.
 
 The ``engine_config`` fixture builds the Monte-Carlo execution engine from

@@ -3,7 +3,7 @@
 Paper scale: a d = 5 patch, bad-qubit two-qubit error rates of 5-15%, good
 qubit error rates swept from 0.1% to 0.9%.  Laptop scale: a width-4 stability
 patch (the all-Z-boundary construction needs an even width - see
-EXPERIMENTS.md), two bad-qubit rates and a coarse sweep.  The reproduced
+"Scale mapping" in the README), two bad-qubit rates and a coarse sweep.  The reproduced
 shape: for a sufficiently bad qubit, disabling it and forming
 super-stabilizers gives a lower stability failure rate than keeping it.
 """

@@ -6,7 +6,7 @@ application fidelity.  The defect-intolerant baseline's yield is analytic, so
 it is reproduced at full scale; the super-stabilizer yield and distance
 distribution are Monte-Carlo estimated at reduced sample counts (and at a
 reduced chiplet size by default - pass ``chiplet_size=33`` / ``39`` and more
-samples to run the paper-scale version; see EXPERIMENTS.md).
+samples to run the paper-scale version; see "Scale mapping" in the README).
 """
 
 import pytest

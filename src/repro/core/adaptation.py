@@ -47,11 +47,21 @@ clusters designated for *boundary handling*.
 
 The measurement schedule repetition count of each cluster equals the
 cluster's diameter in data-qubit units (minimum 1), following Sec. 3.
+
+Neighbour-local evaluation
+--------------------------
+The rules are local, and the code exploits that without changing the order
+in which anything is visited (stabilizer order shapes the circuits built from
+a patch): commutation repair only compares checks sharing a data qubit; after
+one full round, the structural rules only revisit checks and data next to the
+last excisions.  The cluster scan still walks the remaining sites in set
+order: clusters are emitted in seed-pop order, which fixes ``cluster_id`` and
+the stabilizer order, and a grid-window lookup - same partition - removes
+sites in another sequence, resizes the set differently and pops other seeds.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..noise.fabrication import DefectSet
@@ -61,17 +71,11 @@ from .patch import AdaptedPatch, GaugeOperator, SuperStabilizer
 __all__ = ["adapt_patch", "cluster_diameter", "defect_clusters"]
 
 _MAX_ITERATIONS = 400
-#: largest chiplet width for which the encoded-qubit-count check runs inline.
-_ENCODING_CHECK_MAX_SIZE = 23
 
 
 # ----------------------------------------------------------------------
 # Geometry helpers
 # ----------------------------------------------------------------------
-def _chebyshev(a: Coord, b: Coord) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def defect_clusters(sites: Iterable[Coord], max_distance: int = 2) -> List[Set[Coord]]:
     """Connected components of a set of lattice sites.
 
@@ -85,8 +89,11 @@ def defect_clusters(sites: Iterable[Coord], max_distance: int = 2) -> List[Set[C
         cluster = {seed}
         frontier = [seed]
         while frontier:
-            current = frontier.pop()
-            near = {s for s in remaining if _chebyshev(s, current) <= max_distance}
+            cx, cy = frontier.pop()
+            near = {
+                s for s in remaining
+                if abs(s[0] - cx) <= max_distance and abs(s[1] - cy) <= max_distance
+            }
             remaining -= near
             cluster |= near
             frontier.extend(near)
@@ -95,11 +102,17 @@ def defect_clusters(sites: Iterable[Coord], max_distance: int = 2) -> List[Set[C
 
 
 def cluster_diameter(cluster: Iterable[Coord]) -> float:
-    """Diameter of a defect cluster in data-qubit units (lattice distance / 2)."""
+    """Diameter of a defect cluster in data-qubit units (lattice distance / 2).
+
+    The largest pairwise Chebyshev distance is the larger side of the
+    cluster's bounding box.
+    """
     cluster = list(cluster)
-    if len(cluster) <= 1:
+    if not cluster:
         return 0.0
-    return max(_chebyshev(a, b) for a, b in itertools.combinations(cluster, 2)) / 2.0
+    xs = [x for x, _ in cluster]
+    ys = [y for _, y in cluster]
+    return max(max(xs) - min(xs), max(ys) - min(ys)) / 2.0
 
 
 def _is_diagonal_pair(a: Coord, b: Coord) -> bool:
@@ -167,57 +180,72 @@ class _AdaptationState:
         return out
 
     def active_support(self, check: Check, disabled_data: Set[Coord]) -> Tuple[Coord, ...]:
-        return tuple(d for d in check.data if d not in disabled_data)
+        return tuple([d for d in check.data if d not in disabled_data])
 
     def enabled_checks(self) -> List[Check]:
-        return [c for c in self.layout.checks if c.ancilla not in self.disabled_anc]
+        disabled_anc = self.disabled_anc
+        return [c for c in self.layout.checks if c.ancilla not in disabled_anc]
 
 
 # ----------------------------------------------------------------------
 # Fixpoint pieces
 # ----------------------------------------------------------------------
 def _structural_fixpoint(state: _AdaptationState) -> bool:
-    """Apply the ancilla/data excision rules until stable.  Returns change flag."""
+    """Apply the ancilla/data excision rules until stable.  Returns change flag.
+
+    Each round applies rule A to the checks, then rule B to the data qubits.
+    A check's verdict can only change when one of its data qubits was excised
+    in the previous round, and a data qubit's only when one of its checks was
+    excised earlier in the same round, so after the first full round only
+    those candidates are re-examined (in layout order, as a full pass would).
+    """
     layout = state.layout
+    checks_containing = layout.checks_containing
+    disabled_data = state.disabled_data()
+    disabled_anc = state.disabled_anc
+    checks: Iterable[Check] = layout.checks
     changed_any = False
-    for _ in range(_MAX_ITERATIONS):
-        changed = False
-        disabled_data = state.disabled_data()
-        disabled_anc = state.disabled_anc
+    for round_ in range(_MAX_ITERATIONS):
         # Rule A: ancillas with too little usable support.
-        for check in layout.checks:
+        new_anc: List[Check] = []
+        for check in checks:
             if check.ancilla in disabled_anc:
                 continue
             support = state.active_support(check, disabled_data)
-            if len(support) <= 1:
-                state.excised_anc.add(check.ancilla)
-                changed = True
-            elif len(support) == 2 and _is_diagonal_pair(*support):
-                state.excised_anc.add(check.ancilla)
-                changed = True
+            if len(support) <= 1 or (
+                len(support) == 2 and _is_diagonal_pair(*support)
+            ):
+                new_anc.append(check)
+        state.excised_anc.update(c.ancilla for c in new_anc)
+        disabled_anc.update(c.ancilla for c in new_anc)
         # Rule B: data qubits with no enabled check of some type.
-        disabled_anc = state.disabled_anc
-        for data in layout.data_qubits:
+        if round_ == 0:
+            data_qubits: Iterable[Coord] = layout.data_qubits
+        else:
+            data_qubits = sorted({d for c in new_anc for d in c.data})
+        new_data: List[Coord] = []
+        for data in data_qubits:
             if data in disabled_data:
                 continue
             kinds = {
-                c.kind
-                for c in layout.checks_containing[data]
-                if c.ancilla not in disabled_anc
+                c.kind for c in checks_containing[data] if c.ancilla not in disabled_anc
             }
             if "X" not in kinds or "Z" not in kinds:
-                state.excised_data.add(data)
-                changed = True
-        if not changed:
+                new_data.append(data)
+        state.excised_data.update(new_data)
+        disabled_data.update(new_data)
+        if not (new_anc or new_data):
             break
         changed_any = True
+        touched = {c.ancilla: c for d in new_data for c in checks_containing[d]}
+        checks = [touched[a] for a in sorted(touched)]
     return changed_any
 
 
 def _broken_checks(state: _AdaptationState, disabled_data: Set[Coord]) -> List[Check]:
     return [
         c for c in state.enabled_checks()
-        if any(d in disabled_data for d in c.data)
+        if not disabled_data.isdisjoint(c.data)
     ]
 
 
@@ -341,9 +369,7 @@ def _nearest_boundary_kind(layout: RotatedSurfaceCodeLayout, coord: Coord) -> st
     x, y = coord
     dist_y = min(y, 2 * l - y)          # distance to an X-hosting boundary
     dist_x = min(x, 2 * l - x)          # distance to a Z-hosting boundary
-    if dist_y <= dist_x:
-        return layout.boundary_sides()["top"]
-    return layout.boundary_sides()["left"]
+    return layout.boundary_sides()["top" if dist_y <= dist_x else "left"]
 
 
 def _commutation_repair(
@@ -357,22 +383,32 @@ def _commutation_repair(
     Returns ``(changed, clusters_to_demote)`` where the second element lists
     gauge ancillas whose cluster must be demoted to boundary handling because
     a gauge anticommutes with a regular stabilizer.
+
+    Pairs are visited as an all-pairs ``i < j`` scan over ``regular_checks``
+    would visit them, minus the pairs sharing no data qubit (their overlap is
+    empty, hence even).  The ``j`` scan deliberately goes on after ``a`` itself
+    has been excised.
     """
+    neighbours = state.layout.check_neighbours
     supports = {
         c.ancilla: set(state.active_support(c, disabled_data)) for c in regular_checks
     }
     gauge_supports = {
         c.ancilla: set(state.active_support(c, disabled_data)) for c in gauge_checks
     }
+    gauge_by_ancilla = {c.ancilla: c for c in gauge_checks}
     changed = False
     demote: Set[Coord] = set()
 
-    regular = [c for c in regular_checks]
-    for i in range(len(regular)):
-        a = regular[i]
+    regular = list(regular_checks)
+    position = {c.ancilla: i for i, c in enumerate(regular)}
+    for i, a in enumerate(regular):
         if a.ancilla in state.excised_anc:
             continue
-        for j in range(i + 1, len(regular)):
+        later = sorted(
+            j for j in map(position.get, neighbours[a.ancilla]) if j is not None and j > i
+        )
+        for j in later:
             b = regular[j]
             if b.ancilla in state.excised_anc or a.kind == b.kind:
                 continue
@@ -394,8 +430,9 @@ def _commutation_repair(
     for check in regular:
         if check.ancilla in state.excised_anc:
             continue
-        for g in gauge_checks:
-            if g.kind == check.kind:
+        for anc in neighbours[check.ancilla]:
+            g = gauge_by_ancilla.get(anc)
+            if g is None or g.kind == check.kind:
                 continue
             overlap = len(supports[check.ancilla] & gauge_supports[g.ancilla])
             if overlap % 2 == 1:
@@ -470,7 +507,7 @@ def adapt_patch(layout: RotatedSurfaceCodeLayout, defects: DefectSet) -> Adapted
 
         intact = [
             c for c in state.enabled_checks()
-            if not any(d in disabled_data for d in c.data)
+            if disabled_data.isdisjoint(c.data)
         ]
         repair_changed, demote = _commutation_repair(
             state, intact + deformed_regular, gauge_checks, disabled_data
@@ -501,7 +538,7 @@ def adapt_patch(layout: RotatedSurfaceCodeLayout, defects: DefectSet) -> Adapted
 
     intact = [
         c for c in state.enabled_checks()
-        if not any(d in disabled_data for d in c.data)
+        if disabled_data.isdisjoint(c.data)
     ]
     stabilizers.extend(intact)
 

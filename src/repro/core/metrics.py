@@ -59,25 +59,19 @@ class ChainGraph:
     adjacency: Dict[object, Dict[object, List[Coord]]]
     error_type: str
 
+    def shortest_paths(self) -> Tuple[Optional[int], int]:
+        """Length and number (with multiplicity) of the shortest
+        boundary-to-boundary paths, from one BFS; ``(None, 0)`` when none."""
+        dist, counts = self._bfs()
+        return dist.get(_BOUNDARY_B), counts.get(_BOUNDARY_B, 0)
+
     def shortest_path_length(self) -> Optional[int]:
         """Length of the shortest boundary-to-boundary path (the code distance)."""
-        dist = self._bfs_distances()
-        return dist.get(_BOUNDARY_B)
+        return self.shortest_paths()[0]
 
     def shortest_path_count(self) -> int:
         """Number of shortest boundary-to-boundary paths, with multiplicity."""
-        dist = self._bfs_distances()
-        if _BOUNDARY_B not in dist:
-            return 0
-        counts: Dict[object, int] = {_BOUNDARY_A: 1}
-        order = sorted(dist, key=lambda n: dist[n])
-        for node in order:
-            if node not in counts:
-                continue
-            for nb, qubits in self.adjacency.get(node, {}).items():
-                if dist.get(nb) == dist[node] + 1:
-                    counts[nb] = counts.get(nb, 0) + counts[node] * len(qubits)
-        return counts.get(_BOUNDARY_B, 0)
+        return self.shortest_paths()[1]
 
     def shortest_path_qubits(self, avoid: Set[Coord] = frozenset()) -> Optional[List[Coord]]:
         """Data qubits of one shortest boundary-to-boundary chain.
@@ -86,7 +80,7 @@ class ChainGraph:
         path exists under that restriction.  Used to pick logical-operator
         representatives that avoid gauge regions.
         """
-        dist = self._bfs_distances(avoid)
+        dist, _ = self._bfs(avoid)
         if _BOUNDARY_B not in dist:
             return None
         # Walk back from boundary B following strictly decreasing distances.
@@ -103,20 +97,37 @@ class ChainGraph:
                 return None
         return path
 
-    def _bfs_distances(self, avoid: Set[Coord] = frozenset()) -> Dict[object, int]:
+    def _bfs(
+        self, avoid: Set[Coord] = frozenset()
+    ) -> Tuple[Dict[object, int], Dict[object, int]]:
+        """BFS from boundary A over edges with a qubit outside ``avoid``.
+
+        Returns each reached node's distance and its number of shortest paths
+        from boundary A, counting each usable parallel qubit as its own edge.
+        A node's count is final once its layer is reached, because every
+        shortest path enters it from the previous layer.
+        """
         dist = {_BOUNDARY_A: 0}
+        counts = {_BOUNDARY_A: 1}
         frontier = [_BOUNDARY_A]
+        depth = 0
         while frontier:
+            depth += 1
             nxt = []
             for node in frontier:
+                paths = counts[node]
                 for nb, qubits in self.adjacency.get(node, {}).items():
-                    if avoid and not any(q not in avoid for q in qubits):
+                    width = len(qubits) if not avoid else sum(q not in avoid for q in qubits)
+                    if not width:
                         continue
                     if nb not in dist:
-                        dist[nb] = dist[node] + 1
+                        dist[nb] = depth
+                        counts[nb] = 0
                         nxt.append(nb)
+                    if dist[nb] == depth:
+                        counts[nb] += paths * width
             frontier = nxt
-        return dist
+        return dist, counts
 
 
 def _void_components(
@@ -304,18 +315,17 @@ def evaluate_patch(patch: AdaptedPatch) -> PatchMetrics:
             largest_cluster_diameter=0.0,
             valid=False,
         )
-    graph_x = build_chain_graph(patch, "X")
-    graph_z = build_chain_graph(patch, "Z")
-    dx = graph_x.shortest_path_length() or 0
-    dz = graph_z.shortest_path_length() or 0
+    dx, count_x = build_chain_graph(patch, "X").shortest_paths()
+    dz, count_z = build_chain_graph(patch, "Z").shortest_paths()
+    dx, dz = dx or 0, dz or 0
     disabled_sites = set(patch.disabled_data) | set(patch.disabled_ancillas)
     clusters = defect_clusters(disabled_sites)
     largest = max((cluster_diameter(c) for c in clusters), default=0.0)
     return PatchMetrics(
         distance_x=int(dx),
         distance_z=int(dz),
-        num_shortest_x=graph_x.shortest_path_count(),
-        num_shortest_z=graph_z.shortest_path_count(),
+        num_shortest_x=count_x,
+        num_shortest_z=count_z,
         num_faulty_qubits=patch.defects.num_faulty_qubits,
         num_faulty_links=patch.defects.num_faulty_links,
         num_disabled_data=len(patch.disabled_data),

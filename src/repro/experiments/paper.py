@@ -4,8 +4,8 @@ Each function regenerates the data behind one figure or table of the paper's
 evaluation and returns it as plain Python data structures (the benchmark
 harness prints them; examples plot or tabulate them).  Every function accepts
 scale parameters so the same code can run at laptop scale (defaults) or at
-the paper's full scale; EXPERIMENTS.md records the default scaling and how it
-maps onto the original parameters.
+the paper's full scale; the README's "Scale mapping" table records the
+benchmark scaling and how it maps onto the original parameters.
 
 Figure/table index
 ------------------

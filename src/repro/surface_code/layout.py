@@ -131,6 +131,8 @@ class RotatedSurfaceCodeLayout:
 
     @cached_property
     def checks(self) -> Tuple[Check, ...]:
+        """Active checks in layout order: ascending ancilla coordinate (like
+        :attr:`data_qubits`, which ascend by coordinate too)."""
         out = []
         for pos in self.candidate_plaquettes():
             if not self._is_active_plaquette(pos):
@@ -176,6 +178,16 @@ class RotatedSurfaceCodeLayout:
             for d in check.data:
                 mapping[d].append(check)
         return {d: tuple(cs) for d, cs in mapping.items()}
+
+    @cached_property
+    def check_neighbours(self) -> Dict[Coord, Tuple[Coord, ...]]:
+        """Map from check ancilla to the ancillas of the other checks sharing a
+        data qubit with it, in layout order (only such checks can overlap)."""
+        near: Dict[Coord, set] = {c.ancilla: set() for c in self.checks}
+        for cs in self.checks_containing.values():
+            for c in cs:
+                near[c.ancilla].update(o.ancilla for o in cs if o is not c)
+        return {a: tuple(sorted(ns)) for a, ns in near.items()}
 
     # ------------------------------------------------------------------
     # Counts used by the resource-overhead analysis
@@ -244,7 +256,7 @@ class StabilityLayout(RotatedSurfaceCodeLayout):
     odd widths two opposite corners end up in a single Z check), so the width
     is required to be even.  The paper's Fig. 20 uses a d = 5 region; the
     reproduction substitutes the closest even-width stability patch, which
-    exercises the identical code path (see EXPERIMENTS.md).
+    exercises the identical code path (see the README's "Scale mapping").
     """
 
     def __init__(self, size: int):
