@@ -30,7 +30,8 @@ from repro.env import env_str
 #: fused_sweep artifact joined the set.
 #: v4: decoder_throughput's mwpm series grew the matcher-tier counters
 #: (dp_decodes, tie_fallbacks, tail_fallbacks).
-BENCH_JSON_SCHEMA = 4
+#: v5: sweep_scheduler dropped its "interleaved" (fusion-disabled) series.
+BENCH_JSON_SCHEMA = 5
 
 
 @pytest.fixture(scope="session")

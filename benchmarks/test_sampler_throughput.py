@@ -50,12 +50,17 @@ _DISTANCE = 5
 _GATE_SHOTS = 4096
 _GATE_RATIO = 1.5
 _TRAJECTORY_SHOTS = 32000
+# Each throughput is the best of this many timed calls, so one scheduler
+# stall on a shared host cannot sink either side of a ratio.
+_REPEATS = 3
 
 
 def _throughput(fn, shots):
-    start = time.perf_counter()
-    fn()
-    elapsed = time.perf_counter() - start
+    elapsed = float("inf")
+    for _ in range(_REPEATS):
+        start = time.perf_counter()
+        fn()
+        elapsed = min(elapsed, time.perf_counter() - start)
     return shots / max(elapsed, 1e-9)
 
 

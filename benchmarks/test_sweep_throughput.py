@@ -1,32 +1,28 @@
-"""Sweep-scheduler benchmark: fused vs interleaved vs task-by-task.
+"""Sweep-scheduler benchmark: ``run_sweep`` vs task-by-task.
 
 Runs a mixed d=3 sweep — adaptive points whose waves drain at very
-different rates plus one fixed-budget point — through the engine three
-times with ``max_workers=4``:
+different rates plus one fixed-budget point — through one default engine
+twice with ``max_workers=4``:
 
 * the **task-by-task path**: one ``run_ler`` per task, which is what
   ``run_ler_many`` did before the sweep scheduler (a draining adaptive wave
-  leaves most of the pool idle until the task finishes),
-* the **interleaved path**: one ``run_sweep`` over all tasks with fusion
-  disabled (``fuse_tasks=1``), where every pending task's shards share the
-  pool but each shard is its own dispatch, and
-* the **fused path**: the same ``run_sweep`` with shard-group fusion on
-  (the defaults), where compatible shards of different tasks ride one
-  worker invocation (:class:`repro.stabilizer.packed.FusedProgram`).
+  leaves most of the pool idle until the task finishes), and
+* the **fused path**: one ``run_sweep`` over all tasks, where every pending
+  task's shards share the pool and travel to workers in dispatch groups
+  (:func:`repro.engine.executor._plan_fused_groups`).
 
-All paths execute the *identical* shard set (same per-task child seeds,
-same wave plans), so the measured differences are pure scheduling and
+Both paths execute the *identical* shard set (same per-task child seeds,
+same wave plans), so the measured difference is pure scheduling and
 dispatch: the ``LerResult``s are asserted bit-identical every run, on any
 host.  The fused path is timed *first*, so residual worker-cache warmth
 can only bias the comparison against it.
 
-The >= 1.3x interleaving gate — the sweep-scheduler PR's acceptance
-criterion — only fires on hosts with >= 4 CPUs: on fewer cores the paths
-serialise onto the same silicon and the scheduling win shrinks to
-pool-overhead noise by construction.  (The fused path's own >= 2x gate
-lives in ``test_fused_sweep.py``.)  The shots/sec series always lands in
-``BENCH_sweep_scheduler.json`` via the BENCH artifact, so the trajectory
-is on record either way.
+The >= 1.3x gate only fires on hosts with >= 4 CPUs: on fewer cores the
+paths serialise onto the same silicon and the scheduling win shrinks to
+pool-overhead noise by construction.  (The 7-task d=3/d=5 sweep's >= 2x
+gate lives in ``test_fused_sweep.py``.)  The shots/sec series always lands
+in ``BENCH_sweep_scheduler.json`` via the BENCH artifact, so the
+trajectory is on record either way.
 """
 
 import os
@@ -70,11 +66,8 @@ def _items(tasks, seed):
 
 
 def test_sweep_scheduler_throughput(benchmark, benchmark_seed):
-    fused_engine = Engine(EngineConfig(max_workers=_WORKERS,
-                                       shard_size=_SHARD_SIZE))
-    plain_engine = Engine(EngineConfig(max_workers=_WORKERS,
-                                       shard_size=_SHARD_SIZE,
-                                       fuse_tasks=1))
+    engine = Engine(EngineConfig(max_workers=_WORKERS,
+                                 shard_size=_SHARD_SIZE))
     tasks = _tasks()
     items = _items(tasks, benchmark_seed)
     rows = []
@@ -84,52 +77,39 @@ def test_sweep_scheduler_throughput(benchmark, benchmark_seed):
     def run():
         # Warm every worker's task contexts so no timed path pays
         # circuit/DEM/decoder builds (4 shards per task fan across the pool,
-        # so each worker sees most tasks at least once).  Both engines share
-        # one pool width, so warming either warms the silicon; warm both so
-        # each engine's own backend processes exist before timing.
-        fused_engine.run_ler_many(tasks, shots=4 * _SHARD_SIZE,
-                                  seed=benchmark_seed + 1)
-        plain_engine.run_ler_many(tasks, shots=4 * _SHARD_SIZE,
-                                  seed=benchmark_seed + 1)
+        # so each worker sees most tasks at least once).
+        engine.run_ler_many(tasks, shots=4 * _SHARD_SIZE,
+                            seed=benchmark_seed + 1)
 
         start = time.perf_counter()
-        fused = fused_engine.run_sweep(items)
-        t_fused = time.perf_counter() - start
-        fusion.update(fused_engine.last_fusion.payload())
+        swept = engine.run_sweep(items)
+        t_sweep = time.perf_counter() - start
+        fusion.update(engine.last_fusion.payload())
 
         start = time.perf_counter()
-        interleaved = plain_engine.run_sweep(items)
-        t_interleaved = time.perf_counter() - start
-
-        start = time.perf_counter()
-        taskwise = [plain_engine.run_ler(it.task, policy=it.policy,
-                                         seed=it.seed)
+        taskwise = [engine.run_ler(it.task, policy=it.policy, seed=it.seed)
                     for it in items]
         t_taskwise = time.perf_counter() - start
 
-        # Scheduling and fusion must be invisible in the numbers, everywhere.
+        # Scheduling and grouping must be invisible in the numbers.
         def key(rs):
             return [(r.failures, r.shots, r.num_shards) for r in rs]
 
-        assert key(fused) == key(interleaved) == key(taskwise)
+        assert key(swept) == key(taskwise)
 
-        shots = sum(r.shots for r in fused)
-        measured["speedup"] = t_taskwise / t_interleaved
-        measured["fused_speedup"] = t_taskwise / t_fused
+        shots = sum(r.shots for r in swept)
+        measured["speedup"] = t_taskwise / t_sweep
         measured["shots"] = shots
         for label, seconds in (("task-by-task", t_taskwise),
-                               ("interleaved", t_interleaved),
-                               ("fused", t_fused)):
+                               ("fused", t_sweep)):
             rate = shots / max(seconds, 1e-9)
             measured[label] = (seconds, rate)
             rows.append((label,
                          f"{shots} shots in {seconds:6.2f}s "
                          f"= {rate:8.0f} shots/s"))
-        rows.append(("interleave speedup",
+        rows.append(("speedup",
                      f"{measured['speedup']:4.2f}x "
                      f"(gate {_GATE_SPEEDUP}x on >=4 CPUs)"))
-        rows.append(("fused speedup", f"{measured['fused_speedup']:4.2f}x "
-                     "(gated in test_fused_sweep)"))
         return rows
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -145,9 +125,8 @@ def test_sweep_scheduler_throughput(benchmark, benchmark_seed):
             "shots": measured["shots"],
             "seconds": measured[label][0],
             "shots_per_sec": measured[label][1],
-        } for label in ("task-by-task", "interleaved", "fused")],
+        } for label in ("task-by-task", "fused")],
         speedup=measured["speedup"],
-        fused_speedup=measured["fused_speedup"],
         fusion=fusion,
         workers=_WORKERS,
         shard_size=_SHARD_SIZE,

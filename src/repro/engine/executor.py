@@ -44,7 +44,6 @@ from ..env import env_choice, env_hosts, env_int, env_str
 from ..decoder.matching import MatchingGraph, MwpmDecoder
 from ..decoder.unionfind import UnionFindDecoder
 from ..stabilizer.dem import build_detector_error_model
-from ..stabilizer.packed import FusedProgram, fused_shot_budget
 from .backends import BACKEND_NAMES, Backend, create_backend
 from .cache import ResultCache
 from .pipeline import DecodingPipeline, _memo_cache
@@ -95,17 +94,6 @@ class EngineConfig:
         ``(host, port)`` pairs of remote workers for the socket backend;
         ignored by the other backends.  An entry per job slot — list a
         host twice to keep two shards in flight there.
-    fuse_tasks:
-        Maximum shards per fused dispatch group in ``run_sweep`` (see
-        :func:`_plan_fused_groups`); ``1`` disables fusion.  Pure dispatch
-        batching — results and cache records are fusion-invariant, so the
-        knob is excluded from cache keys like the backend choice.
-    fuse_shots:
-        Per-group budget, in exact-shot equivalents, that a fused group's
-        weighted shard costs may not exceed (bitgen shards count ~1/3 —
-        :func:`~repro.engine.scheduler.rng_mode_shot_cost`).  Keeps fusion
-        to the many-small-shard regime it pays off in: one oversized shard
-        already saturates a worker, so batching it only delays neighbours.
     """
 
     max_workers: int = 1
@@ -113,18 +101,12 @@ class EngineConfig:
     cache_dir: Optional[str] = None
     backend: str = "process"
     hosts: Tuple[Tuple[str, int], ...] = ()
-    fuse_tasks: int = 8
-    fuse_shots: int = 8192
 
     def __post_init__(self) -> None:
         if self.max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if self.shard_size <= 0:
             raise ValueError("shard_size must be positive")
-        if self.fuse_tasks <= 0:
-            raise ValueError("fuse_tasks must be positive (1 disables fusion)")
-        if self.fuse_shots <= 0:
-            raise ValueError("fuse_shots must be positive")
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
@@ -136,8 +118,7 @@ class EngineConfig:
     @classmethod
     def from_env(cls, env=None) -> "EngineConfig":
         """Read ``REPRO_WORKERS`` / ``REPRO_CACHE`` / ``REPRO_SHARD_SIZE``
-        plus the backend selection (``REPRO_BACKEND`` / ``REPRO_HOSTS``)
-        and the fusion budgets (``REPRO_FUSE_TASKS`` / ``REPRO_FUSE_SHOTS``).
+        plus the backend selection (``REPRO_BACKEND`` / ``REPRO_HOSTS``).
 
         Every variable is validated up front (:mod:`repro.env`): garbage,
         non-positive or malformed values raise a ``ValueError`` naming the
@@ -150,11 +131,8 @@ class EngineConfig:
         backend = env_choice("REPRO_BACKEND", "process", BACKEND_NAMES,
                              env=env)
         hosts = env_hosts("REPRO_HOSTS", env=env)
-        fuse_tasks = env_int("REPRO_FUSE_TASKS", 8, minimum=1, env=env)
-        fuse_shots = env_int("REPRO_FUSE_SHOTS", 8192, minimum=1, env=env)
         return cls(max_workers=workers, shard_size=shard, cache_dir=cache,
-                   backend=backend, hosts=hosts,
-                   fuse_tasks=fuse_tasks, fuse_shots=fuse_shots)
+                   backend=backend, hosts=hosts)
 
 
 # ----------------------------------------------------------------------
@@ -235,15 +213,16 @@ class WaveUpdate:
 
 @dataclass(frozen=True)
 class FusionStats:
-    """Fused-dispatch breakdown of one executed ``run_sweep`` call.
+    """Grouped-dispatch breakdown of one executed ``run_sweep`` call.
 
-    Observability only: fusion shares dispatch overhead and draw scratch,
-    never variates, so none of these counters can correlate with the
-    numbers a sweep produces (grouping depends on backend timing; results
-    are grouping-invariant by construction).  ``Engine.run_sweep`` stores
-    the stats of its last call on :attr:`Engine.last_fusion`, and the sweep
-    benchmarks surface them in their BENCH JSON artifacts so fusion
-    efficacy is visible from CI.
+    Observability only: a shard group shares one backend dispatch, never
+    variates, so none of these counters can correlate with the numbers a
+    sweep produces (grouping depends on backend timing; results are
+    grouping-invariant by construction).  A dispatch carrying >= 2 shards
+    counts as a *fused* group.  ``Engine.run_sweep`` stores the stats of its
+    last call on :attr:`Engine.last_fusion`, and the sweep benchmarks
+    surface them in their BENCH JSON artifacts so grouping is visible from
+    CI.
     """
 
     dispatches: int = 0        # backend submissions + inline executions
@@ -420,36 +399,27 @@ def _run_ler_shard(task: LerPointTask, seed: Seed, shots: int) -> Tuple[int, int
             int(dem_size))
 
 
-def _run_fused_shards(jobs: Sequence[Tuple[LerPointTask, Seed, int]]) -> List[Tuple[int, int, int]]:
-    """Sample + decode one fused shard-group; one result triple per job.
+def _run_ler_shards(jobs: Sequence[Tuple[LerPointTask, Seed, int]]) -> List[Tuple[int, int, int]]:
+    """Run one dispatch group: :func:`_run_ler_shard` per job, in order.
 
-    The worker-side half of heterogeneous task fusion: every job's warm
-    pipeline is looked up (or built) in the task memo, the simulators are
-    compiled into one :class:`~repro.stabilizer.packed.FusedProgram`, and a
-    single invocation samples every segment against a shared draw scratch —
-    N sweep points advance on one dispatch.  Each segment consumes exactly
-    the RNG stream the unfused path binds to its (task, seed) coordinates,
-    so every returned triple is bit-identical to ``_run_ler_shard(*job)``;
-    fusion shares dispatch overhead, never variates.
+    The engine's only LER worker entry point — a lone shard is a group of
+    one.  Every job reuses its task's warm pipeline from the task memo, so
+    a group of N shards pays one dispatch round-trip instead of N.
     """
-    contexts = [_context_for(task) for task, _, _ in jobs]
-    program = FusedProgram([pipeline.simulator for pipeline, _ in contexts])
-    sample_sets = program.run([(shots, seed) for _, seed, shots in jobs])
-    out: List[Tuple[int, int, int]] = []
-    for (pipeline, dem_size), samples, seconds in zip(
-            contexts, sample_sets, program.segment_seconds):
-        stats = pipeline.decode_samples(samples, sample_seconds=seconds,
-                                        fused_tasks=len(jobs))
-        pipeline.persist_memo()
-        out.append((int(stats.failures),
-                    int(pipeline.circuit.num_detectors), int(dem_size)))
-    return out
+    return [_run_ler_shard(task, seed, shots) for task, seed, shots in jobs]
+
+
+#: Grouped dispatch: ``run_sweep`` packs at most this many shards into one
+#: backend submission ...
+GROUP_MAX_SHARDS = 8
+#: ... and at most this many rng-weighted shots
+#: (:func:`~repro.engine.scheduler.rng_mode_shot_cost`).  A shard costing
+#: more already saturates a worker on its own and dispatches alone.
+GROUP_MAX_SHOTS = 8192
 
 
 def _plan_fused_groups(shards: Sequence[Tuple[str, int, object]], *,
-                       fuse_tasks: int, fuse_shots: int,
-                       target_groups: int = 1,
-                       shot_budget: Optional[int] = None) -> List[List]:
+                       target_groups: int = 1) -> List[List]:
     """Partition ready shard descriptors into dispatch groups.
 
     ``shards`` is a sequence of ``(rng_mode, shots, entry)`` triples in
@@ -460,47 +430,29 @@ def _plan_fused_groups(shards: Sequence[Tuple[str, int, object]], *,
     the timing-dependent ``target_groups`` load split below — yields
     bit-identical results; only wall-clock and the fusion counters move.
 
-    A shard is fusion-eligible when fusion is on (``fuse_tasks > 1``), its
-    rng-weighted cost (:func:`~repro.engine.scheduler.rng_mode_shot_cost`)
-    fits the ``fuse_shots`` budget, and its raw shot count fits the packed
-    draw-scratch row budget
-    (:func:`~repro.stabilizer.packed.fused_shot_budget`) — an oversized
-    segment would force the shared scratch every other segment inherits to
-    grow with it.  Ineligible shards dispatch as singletons.  Groups never
-    mix rng modes: exact and bitgen segments draw different stream kinds
-    and cannot share scratch.
-
-    ``target_groups`` (the caller's free backend slots) caps group size at
-    ``ceil(eligible / target_groups)`` so fusion never *serialises* work an
-    idle worker could overlap — batching is only worth its dispatch saving
-    once every slot already has something to chew on.
+    A shard whose weighted cost exceeds :data:`GROUP_MAX_SHOTS` dispatches
+    alone; the rest fill one open group in plan order until it holds
+    :data:`GROUP_MAX_SHARDS` shards or the next shard would overflow the
+    shot budget.  ``target_groups`` (the caller's free backend slots) caps
+    group size at ``ceil(eligible / target_groups)`` so grouping never
+    *serialises* work an idle worker could overlap — batching is only worth
+    its dispatch saving once every slot already has something to chew on.
     """
-    if shot_budget is None:
-        shot_budget = fused_shot_budget()
-    eligible = [fuse_tasks > 1 and shots <= shot_budget
-                and rng_mode_shot_cost(mode, shots) <= fuse_shots
-                for mode, shots, _ in shards]
-    cap = min(fuse_tasks, -(-sum(eligible) // max(target_groups, 1)))
+    costs = [rng_mode_shot_cost(mode, shots) for mode, shots, _ in shards]
+    eligible = sum(cost <= GROUP_MAX_SHOTS for cost in costs)
+    cap = min(GROUP_MAX_SHARDS, -(-eligible // max(target_groups, 1)))
     groups: List[List] = []
-    open_group: Dict[str, List] = {}   # rng_mode -> group accepting members
-    open_cost: Dict[str, int] = {}
-    for (mode, shots, entry), ok in zip(shards, eligible):
-        if not ok or cap <= 1:
+    group: List = []
+    group_cost = 0
+    for (_, _, entry), cost in zip(shards, costs):
+        if cost > GROUP_MAX_SHOTS or cap <= 1:
             groups.append([entry])
             continue
-        cost = rng_mode_shot_cost(mode, shots)
-        group = open_group.get(mode)
-        if group is not None and (len(group) >= cap
-                                  or open_cost[mode] + cost > fuse_shots):
-            del open_group[mode], open_cost[mode]
-            group = None
-        if group is None:
-            group = []
+        if not group or len(group) >= cap or group_cost + cost > GROUP_MAX_SHOTS:
+            group, group_cost = [], 0
             groups.append(group)
-            open_group[mode] = group
-            open_cost[mode] = 0
         group.append(entry)
-        open_cost[mode] += cost
+        group_cost += cost
     return groups
 
 
@@ -748,11 +700,11 @@ class Engine:
         cancelled on the backend and the exception propagates.  Items
         resolved from cache never produce updates.
 
-        Compatible pending shards are *fused* into shard-groups (see
-        :func:`_plan_fused_groups`) so one backend dispatch advances many
-        sweep points; grouping is pure dispatch — results and cache records
-        stay bit-identical to unfused execution — and the realised grouping
-        is reported on :attr:`last_fusion`.
+        Pending shards are grouped (see :func:`_plan_fused_groups`) so one
+        backend dispatch advances many sweep points; grouping is pure
+        dispatch — results and cache records stay bit-identical to
+        shard-by-shard execution — and the realised grouping is reported on
+        :attr:`last_fusion`.
         """
         self.last_fusion = FusionStats()
         results: List[Optional[LerResult]] = [None] * len(items)
@@ -781,17 +733,16 @@ class Engine:
     def _run_sweep_backend(self, runs: List[_SweepTaskRun],
                            results: List[Optional[LerResult]],
                            on_wave=None) -> None:
-        """Interleaved + fused execution: shards of all runs share dispatches.
+        """Interleaved, grouped execution: shards of all runs share dispatches.
 
         Planned shards collect in ``ready`` (deterministic plan order),
-        then each flush partitions them into fused shard-groups
-        (:func:`_plan_fused_groups`) and submits one backend call per
-        group.  Because every shard's RNG stream is bound before planning,
-        grouping affects wall-clock and the fusion counters only.
+        then each flush partitions them into shard groups
+        (:func:`_plan_fused_groups`) and submits one
+        :func:`_run_ler_shards` call per group.  Because every shard's RNG
+        stream is bound before planning, grouping affects wall-clock and
+        the fusion counters only.
         """
         backend = self.backend
-        fuse_tasks = self.config.fuse_tasks
-        fuse_shots = self.config.fuse_shots
         pending: Dict = {}  # Future -> [(run, wave slot), ...] in job order
         ready: List = []    # (run, slot, seed, shots) awaiting dispatch
         unfinished = len(runs)
@@ -836,36 +787,29 @@ class Engine:
         def flush() -> None:
             while ready:
                 free = max(backend.parallel_slots - len(pending), 1)
-                entries = [(shard[0].item.task.rng_mode, shard[3], shard)
-                           for shard in ready]
                 groups = _plan_fused_groups(
-                    entries, fuse_tasks=fuse_tasks, fuse_shots=fuse_shots,
-                    target_groups=free)
+                    [(shard[0].item.task.rng_mode, shard[3], shard)
+                     for shard in ready], target_groups=free)
                 ready.clear()
-                if (backend.inline_single_shard and unfinished == 1
-                        and not pending and len(groups) == 1
-                        and len(groups[0]) == 1):
-                    # A lone shard with nothing to overlap: run it in the
-                    # submitting process instead of paying round-trips
-                    # (the pre-sweep starmap shortcut for single-job waves;
-                    # remote backends opt out — their submitter may be a
-                    # thin coordinator).
-                    run, slot, seed, n = groups[0][0]
-                    record_group(groups[0])
-                    complete(run, slot, _run_ler_shard(run.item.task, seed, n))
-                    continue  # completion may have planned the next wave
+                # A lone shard with nothing to overlap runs in the submitting
+                # process instead of paying round-trips (remote backends opt
+                # out — their submitter may be a thin coordinator).
+                inline = (backend.inline_single_shard and unfinished == 1
+                          and not pending and len(groups) == 1
+                          and len(groups[0]) == 1)
                 for group in groups:
                     record_group(group)
-                    if len(group) == 1:
-                        run, slot, seed, n = group[0]
-                        fut = backend.submit(
-                            _run_ler_shard, (run.item.task, seed, n))
+                    jobs = tuple((run.item.task, seed, n)
+                                 for run, _, seed, n in group)
+                    slots = [(run, slot) for run, slot, _, _ in group]
+                    if inline:
+                        for (run, slot), out in zip(slots,
+                                                    _run_ler_shards(jobs)):
+                            complete(run, slot, out)
                     else:
-                        jobs = tuple((run.item.task, seed, n)
-                                     for run, _, seed, n in group)
-                        fut = backend.submit(_run_fused_shards, (jobs,))
-                    pending[fut] = [(run, slot) for run, slot, _, _ in group]
-                return
+                        pending[backend.submit(_run_ler_shards, (jobs,))] = slots
+                if not inline:
+                    return  # else completion may have planned the next wave
 
         try:
             for run in runs:
@@ -875,10 +819,7 @@ class Engine:
                 done = backend.wait_any(pending)
                 for fut in done:
                     slots = pending.pop(fut)
-                    outs = fut.result()
-                    if len(slots) == 1:
-                        outs = [outs]
-                    for (run, slot), out in zip(slots, outs):
+                    for (run, slot), out in zip(slots, fut.result()):
                         complete(run, slot, out)
                 flush()
             self.last_fusion = FusionStats(**counters)

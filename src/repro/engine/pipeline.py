@@ -131,7 +131,6 @@ class PipelineStats:
     decode_seconds: float = 0.0  # wall-clock spent extracting/decoding/tallying
     memo_evictions: int = 0     # syndrome-memo LRU evictions during this run
     memo_size: int = 0          # memo entries held after the run
-    fused_tasks: int = 1        # tasks in the fused shard-group this run rode in
 
     @property
     def dedup_factor(self) -> float:
@@ -249,11 +248,9 @@ class DecodingPipeline:
     def simulator(self) -> PackedFrameSimulator:
         """The pipeline's warm simulator (compiled program reused across runs).
 
-        Exposed for the fused execution layer, which compiles several
-        pipelines' simulators into one
-        :class:`~repro.stabilizer.packed.FusedProgram`; reseeding it per
-        request is exactly what :meth:`run` does, so borrowing it never
-        perturbs the stream a later unfused run would draw.
+        Exposed for callers that time sampling apart from decoding (the
+        per-layer replay in ``paperbench/``); :meth:`run` reseeds it per
+        call, so borrowing it never perturbs the stream a later run draws.
         """
         return self._sim
 
@@ -269,30 +266,11 @@ class DecodingPipeline:
         t0 = time.perf_counter()
         samples = self._sim.reseed(seed).sample(shots)
         t1 = time.perf_counter()
-        return self.decode_samples(samples, sample_seconds=t1 - t0)
-
-    def decode_samples(self, samples, *, sample_seconds: float = 0.0,
-                       fused_tasks: int = 1) -> PipelineStats:
-        """Decode already-sampled packed detector data in chunks and tally.
-
-        The decode half of :meth:`run`, split out so the fused execution
-        layer can sample several tasks in one
-        :class:`~repro.stabilizer.packed.FusedProgram` invocation and still
-        route each segment through its own pipeline's warm decoder caches.
-        ``sample_seconds`` carries the caller's measured sampling time into
-        the stats; ``fused_tasks`` records how many tasks shared the
-        sampling dispatch (1 for unfused runs).  Decoding is a pure function
-        of the syndromes, so the split can never change a tally.
-        """
-        shots = int(samples.num_shots)
-        if shots <= 0:
-            raise ValueError("shots must be positive")
         decoder = self.decoder
         decoded_before = decoder.decoded_syndromes
         memo_before = decoder.memo_hits
         evictions_before = decoder.memo_evictions
 
-        t1 = time.perf_counter()
         failures = 0
         empty_shots = 0
         chunks = 0
@@ -316,9 +294,8 @@ class DecodingPipeline:
             distinct_syndromes=decoder.decoded_syndromes - decoded_before,
             memo_hits=decoder.memo_hits - memo_before,
             empty_shots=empty_shots,
-            sample_seconds=sample_seconds,
+            sample_seconds=t1 - t0,
             decode_seconds=t2 - t1,
             memo_evictions=decoder.memo_evictions - evictions_before,
             memo_size=decoder.memo_size,
-            fused_tasks=int(fused_tasks),
         )

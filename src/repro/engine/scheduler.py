@@ -37,7 +37,7 @@ Shard = Tuple[int, int]
 #: ``(num, den)``.  Bitgen draws ~4x fewer random bytes and skips the float
 #: compare/pack passes entirely, which measures out to roughly a third of
 #: the exact per-shot cost in the sampler benchmarks (BENCH_fast_rng.json).
-#: Ranking and fusion-grouping heuristic only — never part of any payload
+#: Ranking and dispatch-grouping heuristic only — never part of any payload
 #: or cache key, and never a factor in results.
 _RNG_MODE_COST = {"exact": (1, 1), "bitgen": (1, 3)}
 
@@ -155,8 +155,8 @@ class ShotPolicy:
         stopping.  ``rng_mode`` weights the result by the sampler mode's
         relative per-shot cost (:func:`rng_mode_shot_cost`): a bitgen task
         prices at ~1/3 of an exact task with the same plan, so the service
-        priority scheduler and the fusion grouping budget rank it where its
-        wall-clock actually lands.  The exact-mode number is what the actual
+        priority scheduler and the dispatch-group shot budget rank it where
+        its wall-clock actually lands.  The exact-mode number is what the actual
         scheduler would spend on a task whose merged waves produced those
         failure counts, which is what the unit tests pin it against.
         """

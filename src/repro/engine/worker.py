@@ -12,9 +12,9 @@ then point a driver at the fleet::
 The worker accepts connections from
 :class:`~repro.engine.backends.socket.SocketBackend`, and serves each one
 on its own thread: read a pickled ``("call", fn, args)`` message, run
-``fn(*args)`` (e.g. :func:`repro.engine.executor._run_ler_shard` with a
-frozen task spec, a ``SeedSequence`` and a shot count), reply ``("ok",
-result)`` or ``("err", exception)``.  Because the shard functions key their
+``fn(*args)`` (e.g. :func:`repro.engine.executor._run_ler_shards` with a
+group of (frozen task spec, ``SeedSequence``, shot count) jobs), reply
+``("ok", result)`` or ``("err", exception)``.  Because the shard functions key their
 warm context off the task content hash
 (:func:`repro.engine.executor._context_for`), a worker process keeps hot
 circuits/decoders/geodesic caches across every wave of a sweep, exactly

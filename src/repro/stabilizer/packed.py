@@ -92,19 +92,10 @@ rows and offers
   fired detector indices, which is what the deduplicating batch decoders
   consume.  At low physical error rates most rows are empty or nearly so,
   and the index lists are far smaller than dense rows.
-
-**Heterogeneous task fusion**: :class:`FusedProgram` concatenates the
-compiled programs of several simulators (one per sweep task) into one
-invocation that samples every segment back to back against a shared
-:class:`DrawScratch`, so a many-small-circuit sweep pays one dispatch and
-one scratch allocation for N tasks instead of N of each.  Segment RNG
-streams are untouched — fused output is bit-identical to running each
-segment alone (see the class docstring for the contract).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -114,8 +105,7 @@ from .bitpack import WORD_BITS, num_words, pack_rows, unpack_bits
 from .circuit import Circuit
 from .frame import DetectorSamples
 
-__all__ = ["DrawScratch", "FusedProgram", "PackedDetectorSamples",
-           "PackedFrameSimulator", "RNG_MODES", "fused_shot_budget",
+__all__ = ["PackedDetectorSamples", "PackedFrameSimulator", "RNG_MODES",
            "sample_detectors_packed"]
 
 #: Supported RNG modes: ``"exact"`` reproduces the paper-exact per-target
@@ -436,58 +426,6 @@ def _draw_scratch(rows: int, shots: int) -> Tuple[np.ndarray, np.ndarray]:
     return rbuf, hbuf
 
 
-class DrawScratch:
-    """Reusable exact-mode draw/compare scratch shared across sampler calls.
-
-    The fused execution layer runs several compiled programs back to back in
-    one worker invocation; each call would otherwise allocate (and fault in)
-    its own multi-MB :func:`_draw_scratch`.  A ``DrawScratch`` keeps one
-    flat float64 buffer and one flat bool buffer, growing them on demand,
-    and hands out ``(rows, shots)`` views of their prefixes.  Reshaping the
-    prefix of a flat C-contiguous array yields a C-contiguous view — the
-    property ``rng.random(out=...)`` requires — so segments with *different*
-    shot counts can share the same bytes.
-
-    Sharing can never change a drawn variate: every view is fully
-    overwritten by ``rng.random(out=...)`` / ``np.less(..., out=...)``
-    before it is read, so bit-identity with per-call allocation is
-    structural, not statistical.
-    """
-
-    __slots__ = ("_rflat", "_hflat")
-
-    def __init__(self) -> None:
-        self._rflat: Optional[np.ndarray] = None
-        self._hflat: Optional[np.ndarray] = None
-
-    def view(self, rows: int, shots: int) -> Tuple[np.ndarray, np.ndarray]:
-        """C-contiguous ``(rows, shots)`` float64/bool views, grown on demand."""
-        n = rows * shots
-        if self._rflat is None or self._rflat.size < n:
-            self._rflat = np.empty(n)
-            self._hflat = np.empty(n, dtype=bool)
-        rbuf = self._rflat[:n].reshape(rows, shots)
-        hbuf = self._hflat[:n].reshape(rows, shots)
-        if rbuf.dtype != np.float64 or not rbuf.flags.c_contiguous:
-            raise AssertionError("draw scratch must be C-contiguous float64")
-        if hbuf.dtype != np.bool_ or not hbuf.flags.c_contiguous:
-            raise AssertionError("hit scratch must be C-contiguous bool")
-        return rbuf, hbuf
-
-
-def fused_shot_budget() -> int:
-    """Largest per-segment shot count a fused shard-group may carry.
-
-    One draw-scratch row holds ``shots`` float64 variates; past
-    ``_BLOCK_BYTES // 8`` shots even a single row outgrows the blocked-draw
-    cache budget, and an oversized segment would force the *shared* scratch
-    every other segment inherits to grow with it.  The fusion planner
-    (:func:`repro.engine.executor._plan_fused_groups`) clamps such shards
-    out of fused groups — they dispatch as plain singletons instead.
-    """
-    return _BLOCK_BYTES // 8
-
-
 def _compile_program(circuit: Circuit, fuse: bool) -> Tuple[List[Tuple[str, int, tuple]], int]:
     """Lower the circuit to vectorised ops (index arrays resolved once).
 
@@ -700,16 +638,13 @@ class PackedFrameSimulator:
         return self
 
     # ------------------------------------------------------------------
-    def sample(self, shots: int, *, trace: Optional[TraceHook] = None,
-               scratch: Optional[DrawScratch] = None) -> PackedDetectorSamples:
+    def sample(self, shots: int, *,
+               trace: Optional[TraceHook] = None) -> PackedDetectorSamples:
         """Run ``shots`` Monte-Carlo samples; bit-identical to the unpacked
         :meth:`FrameSimulator.sample` for the same seed.
 
         ``shots=0`` returns an empty sample without consuming RNG state
         (engine shard math may legitimately produce zero-shot requests).
-        ``scratch`` substitutes a caller-owned :class:`DrawScratch` for the
-        per-call exact-mode draw buffers — the fused execution layer shares
-        one across segments; the variate stream is identical either way.
         """
         if shots < 0:
             raise ValueError("shots must be non-negative")
@@ -739,10 +674,7 @@ class PackedFrameSimulator:
         if max_draw_rows and not bitgen:
             buf_rows = min(max_draw_rows,
                            max(1, _BLOCK_BYTES // max(shots * 8, 1)))
-            if scratch is None:
-                rbuf, hbuf = _draw_scratch(buf_rows, shots)
-            else:
-                rbuf, hbuf = scratch.view(buf_rows, shots)
+            rbuf, hbuf = _draw_scratch(buf_rows, shots)
         if bitgen:
             wrng, trng = self._wrng, self._trng
             tail = _tail_mask(shots)
@@ -971,79 +903,6 @@ class PackedFrameSimulator:
                     (z, b, (pb == 2) | (pb == 3)),
                 ):
                     _scatter_bits(dest, q[i0 + rows_k[sel]], cols_k[sel])
-
-
-# ----------------------------------------------------------------------
-# Heterogeneous task fusion
-# ----------------------------------------------------------------------
-class FusedProgram:
-    """Several compiled task programs executed as one worker invocation.
-
-    The engine's sweeps are many-small-circuit workloads: a 7-task d=3/d=5
-    grid dispatches dozens of sub-second shards, each paying its own
-    submission round-trip and its own draw-scratch allocation.  A
-    ``FusedProgram`` concatenates the *compiled* programs of several
-    :class:`PackedFrameSimulator` segments — one per (task, seed, shots)
-    request — so one call advances every segment back to back:
-
-    * each segment keeps its **own** compiled op stream, detector/observable
-      row maps and shot-block output (requests may carry different shot
-      counts), forced through the fused (no-trace) program at construction
-      so compilation never lands inside the timed run;
-    * exact-mode segments share one :class:`DrawScratch` sized to the
-      largest segment, replacing N multi-MB allocations with one;
-    * each segment reseeds its simulator with the request's own seed before
-      sampling, so segment ``k`` consumes **exactly** the RNG stream an
-      unfused ``reseed(seed).sample(shots)`` call would — fusion shares
-      dispatch and scratch, never variates, which is what makes fused
-      results bit-identical to unfused execution for any grouping.
-
-    Segments must share one ``rng_mode``: exact and bitgen draw different
-    stream kinds (PCG64 floats vs SFC64 words) and a mixed group could not
-    share scratch usefully, so the planner never builds one and the
-    constructor rejects it loudly.
-    """
-
-    def __init__(self, sims: Sequence[PackedFrameSimulator]):
-        if not sims:
-            raise ValueError("FusedProgram needs at least one segment")
-        modes = sorted({sim.rng_mode for sim in sims})
-        if len(modes) > 1:
-            raise ValueError("fused segments must share one rng_mode, got "
-                             + ", ".join(modes))
-        self.rng_mode = modes[0]
-        self.sims: List[PackedFrameSimulator] = list(sims)
-        for sim in self.sims:
-            sim._program(fuse=True)  # compile (or reuse) outside the timed run
-        self._scratch = DrawScratch() if self.rng_mode == "exact" else None
-        #: Wall-clock seconds per segment of the last :meth:`run` call, in
-        #: segment order — the per-task sample timings the pipeline stats
-        #: carry forward.
-        self.segment_seconds: List[float] = []
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.sims)
-
-    def run(self, requests: Sequence[Tuple[int, object]]) -> List[PackedDetectorSamples]:
-        """Sample every segment; ``requests[k]`` is segment ``k``'s
-        ``(shots, seed)``.
-
-        Returns one :class:`PackedDetectorSamples` per segment, in segment
-        order, each bit-identical to
-        ``sims[k].reseed(seed).sample(shots)`` run alone.
-        """
-        if len(requests) != len(self.sims):
-            raise ValueError(
-                f"got {len(requests)} requests for {len(self.sims)} segments")
-        out: List[PackedDetectorSamples] = []
-        seconds: List[float] = []
-        for sim, (shots, seed) in zip(self.sims, requests):
-            t0 = time.perf_counter()
-            out.append(sim.reseed(seed).sample(shots, scratch=self._scratch))
-            seconds.append(time.perf_counter() - t0)
-        self.segment_seconds = seconds
-        return out
 
 
 def sample_detectors_packed(circuit: Circuit, shots: int, seed=None, *,

@@ -93,9 +93,13 @@ def _engines(worker_hosts, **kwargs):
     }
 
 
+def memory_task(d: int, p: float, rng_mode: str = "exact") -> LerPointTask:
+    patch = adapt_patch(RotatedSurfaceCodeLayout(d), DefectSet.of())
+    return LerPointTask.from_patch("memory", patch, p, rng_mode=rng_mode)
+
+
 def d3_task(p: float = 0.01) -> LerPointTask:
-    patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
-    return LerPointTask.from_patch("memory", patch, p)
+    return memory_task(3, p)
 
 
 def ler_tuple(r):
@@ -115,6 +119,11 @@ def mixed_items():
                                       target_failures=15), 1),
         SweepItem(d3_task(0.01), ShotPolicy.fixed(640), 2),
         SweepItem(d3_task(0.02), ShotPolicy.fixed(64), 3),
+        # A bitgen and a d=5 item, so dispatch groups mix rng modes and
+        # circuits on every backend.
+        SweepItem(memory_task(3, 0.015, rng_mode="bitgen"),
+                  ShotPolicy.fixed(640), 4),
+        SweepItem(memory_task(5, 0.01), ShotPolicy.fixed(512), 5),
     ]
 
 
@@ -217,7 +226,8 @@ class TestBackendCacheParity:
         sock = Engine(EngineConfig(backend="socket", hosts=worker_hosts,
                                    shard_size=128, cache_dir=str(tmp_path)))
         results = sock.run_sweep(mixed_items())
-        assert [r.from_cache for r in results] == [False, True, False]
+        assert [r.from_cache for r in results] == [False, True, False,
+                                                   False, False]
         ref = Engine(EngineConfig(backend="serial",
                                   shard_size=128)).run_sweep(mixed_items())
         assert [ler_tuple(r) for r in results] == [ler_tuple(r) for r in ref]

@@ -31,6 +31,7 @@ from repro.engine import (
     task_from_payload,
 )
 from repro.engine.rng import from_fingerprint
+from repro.engine.scheduler import rng_mode_shot_cost
 from repro.experiments import run_memory_experiment, sample_defective_patches
 from repro.noise import DefectModel, DefectSet, LINK_AND_QUBIT
 from repro.noise.circuit_noise import CircuitNoiseModel
@@ -436,6 +437,25 @@ class TestEstimatedCost:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             ShotPolicy.fixed(100).estimated_cost(256, -0.1)
+
+    def test_rng_mode_shot_cost(self):
+        assert rng_mode_shot_cost("exact", 9000) == 9000
+        assert rng_mode_shot_cost("bitgen", 9000) == 3000
+        assert rng_mode_shot_cost("bitgen", 100) == 34  # ceiling, not floor
+        assert rng_mode_shot_cost("bitgen", 0) == 0
+        assert rng_mode_shot_cost("exact", -5) == 0
+        with pytest.raises(ValueError, match="unknown rng_mode"):
+            rng_mode_shot_cost("quantum", 100)
+
+    def test_estimated_cost_rng_mode_aware(self):
+        fixed = ShotPolicy.fixed(9000)
+        assert fixed.estimated_cost(512) == 9000  # exact default unchanged
+        assert fixed.estimated_cost(512, rng_mode="bitgen") == 3000
+        adaptive = ShotPolicy.adaptive(8192, min_shots=512,
+                                       target_failures=50)
+        exact = adaptive.estimated_cost(512, 0.05)
+        assert adaptive.estimated_cost(512, 0.05, rng_mode="bitgen") \
+            == rng_mode_shot_cost("bitgen", exact)
 
 
 # ----------------------------------------------------------------------

@@ -48,9 +48,9 @@ from repro.service.specs import YIELD_SAMPLE_COST, sweep_items
 from repro.surface_code import RotatedSurfaceCodeLayout
 
 
-def d3_task(p: float = 0.01) -> LerPointTask:
+def d3_task(p: float = 0.01, rng_mode: str = "exact") -> LerPointTask:
     patch = adapt_patch(RotatedSurfaceCodeLayout(3), DefectSet.of())
-    return LerPointTask.from_patch("memory", patch, p)
+    return LerPointTask.from_patch("memory", patch, p, rng_mode=rng_mode)
 
 
 def yield_task(samples: int = 40) -> YieldTask:
@@ -164,6 +164,25 @@ class TestSpecs:
         yspec = normalize_spec({"kind": "yield",
                                 "task": yield_task(50).payload()})
         assert spec_estimated_cost(yspec) == 50 * YIELD_SAMPLE_COST
+
+    def test_spec_estimated_cost_prices_bitgen_items(self):
+        def sweep_spec(tasks):
+            return normalize_spec({
+                "kind": "sweep", "tasks": [t.payload() for t in tasks],
+                "shots": 900, "seed": 1,
+            })
+
+        exact_spec = sweep_spec([d3_task(0.01), d3_task(0.02)])
+        mixed_spec = sweep_spec([d3_task(0.01),
+                                 d3_task(0.02, rng_mode="bitgen")])
+        assert spec_estimated_cost(exact_spec) == 1800.0
+        assert spec_estimated_cost(mixed_spec) == 1200.0  # 900 + 900/3
+        ler_spec = normalize_spec({
+            "kind": "ler",
+            "task": d3_task(0.01, rng_mode="bitgen").payload(),
+            "shots": 900, "seed": 1,
+        })
+        assert spec_estimated_cost(ler_spec) == 300.0
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.engine import (
     SweepItem,
     YieldTask,
 )
-from repro.engine.executor import _run_ler_shard
+from repro.engine.executor import _plan_fused_groups, _run_ler_shard
 from repro.noise import DefectModel, DefectSet, LINK_AND_QUBIT, LINK_ONLY
 from repro.surface_code import RotatedSurfaceCodeLayout
 
@@ -181,6 +181,73 @@ class TestPoolFailureHandling:
             engine.starmap(_run_ler_shard, jobs)
         out = engine.starmap(_run_ler_shard, [(task, 1, 64), (task, 2, 64)])
         assert len(out) == 2
+
+
+# ----------------------------------------------------------------------
+# Grouped dispatch: planner units and realised counters
+# ----------------------------------------------------------------------
+class TestGroupedDispatch:
+    plan = staticmethod(_plan_fused_groups)
+
+    def test_group_size_capped_at_eight_shards(self):
+        shards = [("exact", 10, i) for i in range(10)]
+        assert self.plan(shards) == [list(range(8)), [8, 9]]
+
+    def test_shot_budget_closes_groups(self):
+        shards = [("exact", 3000, "a"), ("exact", 3000, "b"),
+                  ("exact", 3000, "c")]
+        assert self.plan(shards) == [["a", "b"], ["c"]]
+
+    def test_bitgen_shots_priced_at_a_third(self):
+        # 3000 bitgen shots cost 1000 -> eight of them fit the 8192 budget.
+        shards = [("bitgen", 3000, i) for i in range(8)]
+        assert self.plan(shards) == [list(range(8))]
+        # The same shots in exact mode split into pairs.
+        shards = [("exact", 3000, i) for i in range(8)]
+        assert [len(g) for g in self.plan(shards)] == [2, 2, 2, 2]
+
+    def test_oversized_shard_dispatches_alone(self):
+        # 24577 bitgen shots cost 8193: one over the budget, like 9000 exact.
+        shards = [("exact", 100, "a"), ("exact", 9000, "big"),
+                  ("exact", 100, "b"), ("bitgen", 24577, "big2")]
+        assert self.plan(shards) == [["a", "b"], ["big"], ["big2"]]
+
+    def test_exact_and_bitgen_shards_share_a_group(self):
+        shards = [("exact", 100, "a"), ("bitgen", 100, "b"),
+                  ("exact", 100, "c")]
+        assert self.plan(shards) == [["a", "b", "c"]]
+
+    def test_target_groups_splits_for_idle_slots(self):
+        """Grouping must not serialise work idle workers could overlap:
+        with 4 free slots, 8 shards split into ceil(8/4)=2-size groups,
+        and with a slot per shard every shard dispatches alone."""
+        shards = [("exact", 10, i) for i in range(8)]
+        assert [len(g) for g in self.plan(shards, target_groups=4)] \
+            == [2, 2, 2, 2]
+        assert self.plan(shards, target_groups=8) == [[i] for i in range(8)]
+
+    def test_plan_order_preserved(self):
+        shards = [("exact", 10, i) if i % 2 else ("bitgen", 10, i)
+                  for i in range(7)]
+        assert self.plan(shards, target_groups=3) \
+            == [[0, 1, 2], [3, 4, 5], [6]]
+
+    def test_serial_counters(self):
+        """Four single-shard fixed tasks on the serial backend travel as
+        one group of four (serial has one slot, no split pressure)."""
+        items = [SweepItem(d3_task(0.01 + 0.001 * i),
+                           ShotPolicy.fixed(128), 10 + i) for i in range(4)]
+        engine = Engine(EngineConfig(shard_size=128))
+        engine.run_sweep(items)
+        fusion = engine.last_fusion
+        assert fusion.dispatches == 1
+        assert fusion.fused_groups == 1
+        assert fusion.fused_shards == 4 == fusion.total_shards
+        assert fusion.fused_tasks == 4
+        assert fusion.max_group_shards == 4
+        assert fusion.fused_shots == 4 * 128 == fusion.total_shots
+        assert fusion.fused_shot_fraction == 1.0
+        assert fusion.mean_group_tasks == 4.0
 
 
 # ----------------------------------------------------------------------
