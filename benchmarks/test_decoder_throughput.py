@@ -22,7 +22,7 @@ import time
 
 from repro.core.adaptation import adapt_patch
 from repro.decoder import MatchingGraph, MwpmDecoder, UnionFindDecoder
-from repro.decoder.base import syndrome_cache_limit
+from repro.decoder.base import SYNDROME_MEMO_SIZE
 from repro.decoder.reference import reference_mwpm_decode
 from repro.noise.circuit_noise import CircuitNoiseModel
 from repro.noise.fabrication import DefectSet
@@ -83,7 +83,7 @@ def test_decoder_throughput(benchmark, benchmark_seed):
                     lambda: decoder.decode_fired_batch(fired), shots)
                 # Syndrome-memo health of the batched run: hits/evictions/
                 # final size land in the BENCH artifact so
-                # REPRO_SYNDROME_CACHE can be tuned from CI data (steady
+                # SYNDROME_MEMO_SIZE can be tuned from CI data (steady
                 # evictions at a pinned memo size mean the working set of
                 # distinct syndromes no longer fits).
                 memo = {
@@ -138,7 +138,7 @@ def test_decoder_throughput(benchmark, benchmark_seed):
     write_bench_json("decoder_throughput", series, physical_error_rate=_P,
                      gates={"d3_mwpm": 5.0, "d5_mwpm": 5.0,
                             "d5_unionfind": 2.0},
-                     syndrome_cache_limit=syndrome_cache_limit())
+                     syndrome_memo_size=SYNDROME_MEMO_SIZE)
 
     # Acceptance criterion of the batched-decoding PR: >= 5x at p=1e-3.
     assert speedups[(3, "mwpm")] >= 5.0, speedups

@@ -14,7 +14,7 @@ predictions are bit-identical to a blossom-only decoder.
 the oracle and the throughput baseline.
 """
 
-from .base import BatchDecoderBase, DecodeResult, syndrome_cache_limit
+from .base import BatchDecoderBase, DecodeResult
 from .matching import MatchingGraph, MwpmDecoder
 from .unionfind import UnionFindDecoder
 
@@ -24,5 +24,4 @@ __all__ = [
     "MatchingGraph",
     "MwpmDecoder",
     "UnionFindDecoder",
-    "syndrome_cache_limit",
 ]

@@ -12,8 +12,8 @@ ones collapse to a small set of distinct fired-detector patterns.  The
 2. the empty syndrome short-circuits to "no correction";
 3. distinct syndromes are decoded **once** per batch and the predictions are
    scattered back to every shot that produced them;
-4. a bounded cross-batch memo (``REPRO_SYNDROME_CACHE`` entries, default
-   65536; ``0`` disables it) lets later batches — e.g. successive waves of
+4. a bounded cross-batch memo (:data:`SYNDROME_MEMO_SIZE` entries, 65536;
+   ``0`` disables it) lets later batches — e.g. successive waves of
    the adaptive shot scheduler — reuse earlier decodes outright; once full
    it evicts **least-recently-used** (hits refresh recency), so hot
    syndromes survive long varied sweeps while one-off patterns cycle out;
@@ -36,24 +36,14 @@ from typing import FrozenSet, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..env import env_int
+__all__ = ["DecodeResult", "BatchDecoderBase", "SYNDROME_MEMO_SIZE"]
 
-__all__ = ["DecodeResult", "BatchDecoderBase", "syndrome_cache_limit"]
-
-_DEFAULT_SYNDROME_CACHE = 1 << 16
+#: Cross-batch syndrome-memo capacity, read when a decoder is constructed
+#: (``0`` disables the memo).  Never changes results.
+SYNDROME_MEMO_SIZE = 1 << 16
 
 # A canonical (sparse) syndrome: sorted tuple of fired detector indices.
 Syndrome = Tuple[int, ...]
-
-
-def syndrome_cache_limit(env=None) -> int:
-    """Cross-batch syndrome-memo capacity from ``REPRO_SYNDROME_CACHE``.
-
-    ``0`` disables the memo; negative or non-integer values raise a
-    ``ValueError`` naming the variable.
-    """
-    return env_int("REPRO_SYNDROME_CACHE", _DEFAULT_SYNDROME_CACHE,
-                   minimum=0, env=env)
 
 
 @dataclass
@@ -82,7 +72,7 @@ class BatchDecoderBase:
 
     def __init__(self) -> None:
         self._syndrome_memo: dict = {}
-        self._syndrome_memo_limit = syndrome_cache_limit()
+        self._syndrome_memo_limit = SYNDROME_MEMO_SIZE
         # Lifetime counters, surfaced by the pipeline stats and benchmarks.
         self.decoded_syndromes = 0     # _decode_fired invocations
         self.memo_hits = 0             # cross-batch memo hits
@@ -97,7 +87,7 @@ class BatchDecoderBase:
         counters (surfaced per run by
         :class:`~repro.engine.pipeline.PipelineStats` and recorded in the
         BENCH decoder artifacts), this is what sizes
-        ``REPRO_SYNDROME_CACHE``: persistent evictions with the memo
+        :data:`SYNDROME_MEMO_SIZE`: persistent evictions with the memo
         pinned at its limit mean the working set no longer fits.
         """
         return len(self._syndrome_memo)
@@ -117,8 +107,8 @@ class BatchDecoderBase:
         """Seed the memo from an :meth:`export_memo` snapshot; returns size.
 
         Imports preserve entry order (coldest first) and respect this
-        decoder's own ``REPRO_SYNDROME_CACHE`` limit by keeping only the
-        *hottest* tail of an oversized snapshot.  Malformed or empty keys
+        decoder's own memo limit by keeping only the *hottest* tail of an
+        oversized snapshot.  Malformed or empty keys
         are skipped rather than poisoning the memo; counters are untouched
         — a preloaded syndrome counts as a memo hit when it first saves a
         decode, not before.

@@ -25,7 +25,10 @@ successive shards and scheduler waves of the same task decode against
 already-cached geodesics and memoised syndromes.  The memo lives at module
 scope precisely so it warms up wherever the shard functions run: a pool
 worker on this host and a ``python -m repro.engine.worker`` process on
-another machine get the same treatment.
+another machine get the same treatment.  Every dispatch also carries the
+engine's ``cache_dir``, the one thing that decides where a worker saves
+syndrome memos, so worker-side state never depends on a worker's own
+environment or on when its process forked.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from ..decoder.unionfind import UnionFindDecoder
 from ..stabilizer.dem import build_detector_error_model
 from .backends import BACKEND_NAMES, Backend, create_backend
 from .cache import ResultCache
-from .pipeline import DecodingPipeline, _memo_cache
+from .pipeline import DecodingPipeline
 from .rng import Seed, as_seed_sequence, child_stream, from_fingerprint, seed_fingerprint
 from .scheduler import ShotPolicy, ShotScheduler, rng_mode_shot_cost
 from .tasks import LerPointTask, PatchSampleTask, YieldTask, canonical_json
@@ -337,32 +340,34 @@ class _SweepTaskRun:
 #: the memo bookkeeping is locked — pipeline builds run outside the lock, so
 #: two threads racing on a cold key may both build; the last insert wins and
 #: the loser's pipeline is simply garbage-collected (correct either way:
-#: pipelines for one content hash are interchangeable).
-_TASK_MEMO: Dict[str, tuple] = {}
+#: pipelines for one key are interchangeable).  Keyed by (task content hash,
+#: cache directory), so a warm pipeline only ever saves its syndrome memo
+#: where the dispatch that reuses it asked.
+_TASK_MEMO: Dict[Tuple[str, Optional[str]], tuple] = {}
 _TASK_MEMO_LOCK = threading.Lock()
 
-
-def _task_memo_limit(env=None) -> int:
-    """Warm task contexts kept per worker (``REPRO_TASK_MEMO``, default 16).
-
-    Cross-task interleaving rotates shards of every pending sweep task
-    through each worker, so the memo must hold at least as many contexts as
-    the sweep has concurrent tasks — otherwise every shard rebuilds the
-    circuit/DEM/decoder it just evicted.  Raise this for very large sweeps
-    (cost is memory per worker process: one pipeline + caches per entry).
-    """
-    return env_int("REPRO_TASK_MEMO", 16, minimum=1, env=env)
+#: Warm task contexts kept per worker (LRU).  Cross-task interleaving
+#: rotates shards of every pending sweep task through each worker, so the
+#: memo must hold at least as many contexts as the sweep has concurrent
+#: tasks — otherwise every shard rebuilds the circuit/DEM/decoder it just
+#: evicted.  Cost is memory per worker process: one pipeline + caches each.
+TASK_MEMO_SIZE = 16
 
 
-def _context_for(task: LerPointTask) -> tuple:
+def _context_for(task: LerPointTask, cache_dir: Optional[str] = None) -> tuple:
     """Build (or reuse) the warm decoding pipeline for a task in this process.
 
     The pipeline carries the circuit, the decoder and its geodesic/syndrome
     caches, keyed by the task's DEM-determining content hash; scheduler waves
-    that re-enter the same task decode against warm caches.  The memo is
-    LRU-bounded by :func:`_task_memo_limit`.
+    that re-enter the same task decode against warm caches.  With a
+    ``cache_dir`` the pipeline is bound to that result cache: it imports any
+    persisted syndrome memo before its first shard and
+    :func:`_run_ler_shard` saves the memo back after each shard.  Without
+    one nothing is read or written.  The memo is LRU-bounded by
+    :data:`TASK_MEMO_SIZE`.
     """
-    key = task.content_hash()
+    task_hash = task.content_hash()
+    key = (task_hash, cache_dir)
     with _TASK_MEMO_LOCK:
         ctx = _TASK_MEMO.pop(key, None)
     if ctx is None:
@@ -375,38 +380,41 @@ def _context_for(task: LerPointTask) -> tuple:
             decoder = UnionFindDecoder(graph)
         pipeline = DecodingPipeline(circuit, decoder,
                                     rng_mode=task.rng_mode)
-        memo_store = _memo_cache()
-        if memo_store is not None:
-            # Warm the syndrome memo from disk before the first shard (a
-            # restarted worker skips the cold-start decode rebuild), and
-            # arm _run_ler_shard to persist it back after each shard.
-            pipeline.attach_memo_store(memo_store, key, task.decoder)
+        if cache_dir is not None:
+            pipeline.attach_memo_store(ResultCache(cache_dir), task_hash,
+                                       task.decoder)
         ctx = (pipeline, len(dem))
-    limit = _task_memo_limit()
     with _TASK_MEMO_LOCK:
-        while len(_TASK_MEMO) >= limit:
+        while len(_TASK_MEMO) >= TASK_MEMO_SIZE:
             _TASK_MEMO.pop(next(iter(_TASK_MEMO)))
         _TASK_MEMO[key] = ctx  # (re-)insert at the recent end
     return ctx
 
 
-def _run_ler_shard(task: LerPointTask, seed: Seed, shots: int) -> Tuple[int, int, int]:
-    """Sample + decode one shard; returns (failures, detectors, dem errors)."""
-    pipeline, dem_size = _context_for(task)
+def _run_ler_shard(task: LerPointTask, seed: Seed, shots: int,
+                   cache_dir: Optional[str] = None) -> Tuple[int, int, int]:
+    """Sample + decode one shard; returns (failures, detectors, dem errors).
+
+    ``cache_dir`` is the dispatching engine's result cache: the shard's
+    syndrome memo is saved there (or nowhere, when it is ``None``).
+    """
+    pipeline, dem_size = _context_for(task, cache_dir)
     stats = pipeline.run(shots, seed=seed)
     pipeline.persist_memo()
     return (int(stats.failures), int(pipeline.circuit.num_detectors),
             int(dem_size))
 
 
-def _run_ler_shards(jobs: Sequence[Tuple[LerPointTask, Seed, int]]) -> List[Tuple[int, int, int]]:
+def _run_ler_shards(jobs: Sequence[Tuple[LerPointTask, Seed, int]],
+                    cache_dir: Optional[str] = None) -> List[Tuple[int, int, int]]:
     """Run one dispatch group: :func:`_run_ler_shard` per job, in order.
 
     The engine's only LER worker entry point — a lone shard is a group of
     one.  Every job reuses its task's warm pipeline from the task memo, so
     a group of N shards pays one dispatch round-trip instead of N.
     """
-    return [_run_ler_shard(task, seed, shots) for task, seed, shots in jobs]
+    return [_run_ler_shard(task, seed, shots, cache_dir)
+            for task, seed, shots in jobs]
 
 
 #: Grouped dispatch: ``run_sweep`` packs at most this many shards into one
@@ -515,9 +523,6 @@ def seeded_task_key(task, fp) -> str:
     """
     body = {"task": task.content_hash(), "seed": [list(fp[0]), list(fp[1])]}
     return hashlib.sha256(canonical_json(body).encode()).hexdigest()
-
-
-_seeded_task_key = seeded_task_key  # backward-compatible private alias
 
 
 def ler_cache_key(task: LerPointTask, seed: Seed, policy: ShotPolicy,
@@ -743,6 +748,8 @@ class Engine:
         the fusion counters only.
         """
         backend = self.backend
+        # Where workers save syndrome memos: this engine's result cache.
+        cache_dir = self.config.cache_dir or None
         pending: Dict = {}  # Future -> [(run, wave slot), ...] in job order
         ready: List = []    # (run, slot, seed, shots) awaiting dispatch
         unfinished = len(runs)
@@ -803,11 +810,12 @@ class Engine:
                                  for run, _, seed, n in group)
                     slots = [(run, slot) for run, slot, _, _ in group]
                     if inline:
-                        for (run, slot), out in zip(slots,
-                                                    _run_ler_shards(jobs)):
+                        for (run, slot), out in zip(
+                                slots, _run_ler_shards(jobs, cache_dir)):
                             complete(run, slot, out)
                     else:
-                        pending[backend.submit(_run_ler_shards, (jobs,))] = slots
+                        pending[backend.submit(_run_ler_shards,
+                                               (jobs, cache_dir))] = slots
                 if not inline:
                     return  # else completion may have planned the next wave
 
@@ -870,7 +878,7 @@ class Engine:
         fp = seed_fingerprint(seed)
         key = None
         if self._cache is not None and fp is not None:
-            key = _seeded_task_key(task, fp)
+            key = seeded_task_key(task, fp)
             record = self._cache.get(key)
             if record is not None and record.get("task_hash") == task.content_hash():
                 try:
@@ -937,7 +945,7 @@ class Engine:
         fp = seed_fingerprint(seed)
         key = None
         if self._cache is not None and fp is not None:
-            key = _seeded_task_key(task, fp)
+            key = seeded_task_key(task, fp)
             record = self._cache.get(key)
             if record is not None and record.get("task_hash") == task.content_hash():
                 try:

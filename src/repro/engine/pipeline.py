@@ -7,7 +7,7 @@ into a failure count for one circuit:
   detector record into bit-packed rows (64 shots per ``uint64`` word — the
   frame never materialises a dense boolean matrix);
 * shots stream through the decoder in fixed-size chunks
-  (``REPRO_CHUNK_SHOTS``, default 1024): each chunk is extracted *sparsely*
+  (:data:`CHUNK_SHOTS`, 1024): each chunk is extracted *sparsely*
   (per-shot fired-detector index tuples) straight from the packed words, so
   the decode stage never materialises a dense boolean matrix and its peak
   memory is bounded by the chunk.  (Sampling itself is per-shard — chunked
@@ -28,14 +28,14 @@ adaptive wave scheduler re-enter a warm pipeline wave after wave.
 
 **Syndrome-memo persistence**: the decoder's cross-batch memo is the
 product of real decode work — at d=5 a cold worker re-pays thousands of
-Dijkstra-seeded matchings before its memo warms up.  When a content-
-addressed cache directory is known (``memo_preload`` /
-``attach_memo_store``), the pipeline saves the memo into it after runs
-(atomic ``ResultCache`` writes keyed by task hash + decoder name) and a
-fresh pipeline for the same task imports it before its first shard, so
-restarted service workers and remote socket workers skip the cold-start
-rebuild.  Persistence never changes numbers — decoding is a pure function
-of the syndrome — and is gated by ``REPRO_MEMO_PERSIST`` (default on).
+Dijkstra-seeded matchings before its memo warms up.  When the executor
+runs a shard for an engine with a ``cache_dir``, it binds the pipeline to
+that result cache (:meth:`DecodingPipeline.attach_memo_store`); the
+pipeline then saves the memo into it after runs (atomic ``ResultCache``
+writes keyed by task hash + decoder name) and a fresh pipeline for the
+same task imports it before its first shard, so restarted service workers
+and remote socket workers skip the cold-start rebuild.  Persistence never
+changes numbers — decoding is a pure function of the syndrome.
 
 Determinism: the packed simulator draws the same RNG variates in the same
 order as the unpacked one, and decoding is a pure function of each shot's
@@ -51,32 +51,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..decoder.base import BatchDecoderBase
-from ..env import env_int, env_str
 from ..stabilizer.circuit import Circuit
 from ..stabilizer.packed import PackedFrameSimulator
 from .cache import ResultCache
 from .rng import Seed
 
-__all__ = ["DecodingPipeline", "PipelineStats", "default_chunk_shots",
-           "memo_cache_key", "memo_persist_enabled", "memo_preload"]
+__all__ = ["CHUNK_SHOTS", "DecodingPipeline", "PipelineStats",
+           "memo_cache_key"]
 
-_DEFAULT_CHUNK_SHOTS = 1024
-
-
-def default_chunk_shots(env=None) -> int:
-    """Pipeline chunk size from ``REPRO_CHUNK_SHOTS`` (default 1024)."""
-    return env_int("REPRO_CHUNK_SHOTS", _DEFAULT_CHUNK_SHOTS,
-                   minimum=1, env=env)
-
-
-def memo_persist_enabled(env=None) -> bool:
-    """Whether syndrome-memo persistence is on (``REPRO_MEMO_PERSIST``).
-
-    Default on — persistence is a pure warm-up optimisation that never
-    changes numbers.  Set ``REPRO_MEMO_PERSIST=0`` to keep memos purely
-    in-process (e.g. when benchmarking cold-start behaviour).
-    """
-    return env_int("REPRO_MEMO_PERSIST", 1, minimum=0, env=env) > 0
+#: Shots extracted and decoded per chunk: bounds peak decode memory and
+#: never changes results.
+CHUNK_SHOTS = 1024
 
 
 def memo_cache_key(task_hash: str, decoder_name: str) -> str:
@@ -88,33 +73,6 @@ def memo_cache_key(task_hash: str, decoder_name: str) -> str:
     """
     body = f"syndrome_memo:{task_hash}:{decoder_name}"
     return hashlib.sha256(body.encode()).hexdigest()
-
-
-# Process-wide memo-store override installed by workers that learn their
-# cache directory from arguments rather than the environment (service
-# workers, remote socket workers).  ``None`` falls back to ``REPRO_CACHE``.
-_MEMO_CACHE_DIR: Optional[str] = None
-
-
-def memo_preload(cache_dir: Optional[str]) -> None:
-    """Point this process's pipelines at ``cache_dir`` for memo warm-up.
-
-    Service workers (``repro.service.runner``) and remote socket workers
-    (``repro.engine.worker``) call this at startup with their resolved
-    cache directory, *before* the first shard runs, so every pipeline the
-    process builds imports any persisted syndrome memo up front.  Passing
-    ``None`` resets to the ``REPRO_CACHE`` environment fallback.
-    """
-    global _MEMO_CACHE_DIR
-    _MEMO_CACHE_DIR = cache_dir
-
-
-def _memo_cache() -> Optional[ResultCache]:
-    """The memo store for this process, or None when persistence is off."""
-    if not memo_persist_enabled():
-        return None
-    root = _MEMO_CACHE_DIR or env_str("REPRO_CACHE")
-    return ResultCache(root) if root else None
 
 
 @dataclass(frozen=True)
@@ -152,9 +110,9 @@ class PipelineStats:
         """Evictions per decoded syndrome this run (0 when the memo fits).
 
         Anything persistently above ~0 means the cross-batch syndrome memo
-        (``REPRO_SYNDROME_CACHE``) is smaller than the working set and is
-        churning; the BENCH decoder series records the raw counters so the
-        knob can be sized from CI artifacts.
+        (:data:`~repro.decoder.base.SYNDROME_MEMO_SIZE`) is smaller than the
+        working set and is churning; the BENCH decoder series records the
+        raw counters so the constant can be sized from CI artifacts.
         """
         return self.memo_evictions / max(self.distinct_syndromes, 1)
 
@@ -178,11 +136,9 @@ class DecodingPipeline:
         circuit: Circuit,
         decoder: BatchDecoderBase,
         *,
-        chunk_shots: Optional[int] = None,
+        chunk_shots: int = CHUNK_SHOTS,
         rng_mode: str = "exact",
     ):
-        if chunk_shots is None:
-            chunk_shots = default_chunk_shots()
         if chunk_shots <= 0:
             raise ValueError("chunk_shots must be positive")
         self.circuit = circuit

@@ -20,6 +20,13 @@ warm context off the task content hash
 circuits/decoders/geodesic caches across every wave of a sweep, exactly
 like a local pool worker.
 
+Worker-side state has one config source: the dispatching engine.  Each
+dispatch carries the engine's ``cache_dir``, and the worker saves syndrome
+memos under that path *on its own host* — the driver's own directory on a
+localhost fleet, a shared cache across hosts exactly when that path is a
+shared mount.  An unwritable path comes back to the driver as the worker's
+``OSError``, naming the path.
+
 ``--port 0`` binds an OS-assigned port; the worker always prints one
 machine-readable line — ``REPRO_WORKER_LISTENING <host> <port>`` — once it
 is accepting, which is what the test harness and the CI smoke job parse.
@@ -39,9 +46,7 @@ import threading
 import traceback
 from typing import Optional
 
-from ..env import env_str
 from .backends.wire import MAGIC, ProtocolError, recv_msg, send_msg
-from .pipeline import memo_preload
 
 __all__ = ["serve", "main"]
 
@@ -108,26 +113,14 @@ def _portable_error(exc: Exception) -> Exception:
 
 
 def serve(host: str = "127.0.0.1", port: int = 0, *,
-          cache_dir: Optional[str] = None,
           ready_event: Optional[threading.Event] = None,
           bound: Optional[list] = None) -> None:
     """Listen forever, serving each connection on its own thread.
-
-    ``cache_dir`` (or the ``REPRO_CACHE`` environment fallback) points the
-    worker's decoding pipelines at the shared result cache, so the first
-    shard of each task imports any persisted syndrome memo instead of
-    re-decoding from cold.
 
     ``ready_event``/``bound`` exist for in-process tests: ``bound`` receives
     ``(host, port)`` once the socket is listening and ``ready_event`` is
     then set.
     """
-    cache = cache_dir or env_str("REPRO_CACHE")
-    if cache is not None:
-        # Process-wide preload target; only touch it when this worker was
-        # actually given a cache (in-process test servers must not clobber
-        # their host process's setting).
-        memo_preload(cache)
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind((host, port))
@@ -162,11 +155,8 @@ def main(argv=None) -> None:
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port (default: 0 = OS-assigned, printed "
                              "as REPRO_WORKER_LISTENING)")
-    parser.add_argument("--cache", default=None,
-                        help="result-cache directory for syndrome-memo "
-                             "warm-up (default: $REPRO_CACHE)")
     args = parser.parse_args(argv)
-    serve(args.host, args.port, cache_dir=args.cache)
+    serve(args.host, args.port)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

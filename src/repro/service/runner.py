@@ -9,7 +9,10 @@ Execution routes through the ordinary :class:`~repro.engine.Engine`, built
 from the worker's environment (``REPRO_WORKERS`` / ``REPRO_BACKEND`` /
 ``REPRO_HOSTS``) with the *job's* shard size — so a service worker can
 itself fan shards out over a local pool or a socket fleet, and the numbers
-are still exactly what a direct library call would produce.
+are still exactly what a direct library call would produce.  The worker's
+``--cache`` directory (default ``REPRO_CACHE``) is that engine's
+``cache_dir``, the one place its result records and its decoders' syndrome
+memos are saved — so a restarted worker's first shard starts warm.
 
 Fault model (the reason killing a worker loses nothing):
 
@@ -37,7 +40,6 @@ from ..analysis.stats import wilson_interval
 from ..engine.cache import ResultCache
 from ..engine.executor import Engine, EngineConfig, WaveUpdate
 from ..env import env_str
-from ..engine.pipeline import memo_preload
 from .config import service_db_path, service_lease_seconds, service_poll_seconds
 from .scheduler import JobScheduler, SchedulerConfig
 from .specs import spec_cache_keys, sweep_items, yield_job
@@ -261,13 +263,6 @@ def main(argv=None) -> None:
     store = JobStore(args.db or service_db_path())
     cache_dir = args.cache if args.cache is not None \
         else env_str("REPRO_CACHE")
-    # Point this worker process's decoding pipelines at the shared cache so
-    # the first shard of a restarted worker imports any persisted syndrome
-    # memo instead of re-paying the d=5 cold-start decode rebuild.  Done at
-    # the process entry point (not in ServiceWorker) because the preload
-    # target is process-wide state — in-process embedders opt in by calling
-    # memo_preload themselves.
-    memo_preload(cache_dir)
     worker = ServiceWorker(store, lease_seconds=args.lease,
                            cache_dir=cache_dir)
     # The one line launchers parse; flush so pipes see it immediately.

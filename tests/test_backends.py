@@ -23,6 +23,7 @@ from repro.engine import (
     Engine,
     EngineConfig,
     LerPointTask,
+    ResultCache,
     ShotPolicy,
     SweepItem,
     YieldTask,
@@ -36,6 +37,7 @@ from repro.engine.backends import (
 )
 from repro.engine.backends import process as process_backend
 from repro.engine.executor import _run_ler_shard
+from repro.engine.pipeline import memo_cache_key
 from repro.noise import DefectSet, LINK_AND_QUBIT
 from repro.surface_code import RotatedSurfaceCodeLayout
 
@@ -184,10 +186,14 @@ class TestBackendCacheParity:
     def test_cache_records_byte_identical_across_backends(self, worker_hosts,
                                                           tmp_path):
         """A cold run under each backend writes byte-for-byte the same
-        record files: same keys (backend excluded from the key), same
-        content (results backend-invariant)."""
+        result records: same keys (backend excluded from the key), same
+        content (results backend-invariant).  Every backend also saves one
+        syndrome memo per LER task; memo contents depend on which worker
+        decoded which shard, so only their keys are compared."""
         from dataclasses import replace
 
+        memos = {memo_cache_key(i.task.content_hash(), i.task.decoder)
+                 for i in mixed_items()}
         blobs = {}
         for name, engine in _engines(worker_hosts, shard_size=128).items():
             cache_dir = tmp_path / name
@@ -195,14 +201,32 @@ class TestBackendCacheParity:
             results = engine.run_sweep(mixed_items())
             assert not any(r.from_cache for r in results)
             engine.run_yield(yield_task(), seed=11)
-            blobs[name] = {
-                p.relative_to(cache_dir): p.read_bytes()
-                for p in sorted(cache_dir.rglob("*.json"))
-            }
+            files = {p.stem: p.read_bytes()
+                     for p in sorted(cache_dir.rglob("*.json"))}
+            assert memos <= set(files), f"{name} saved no syndrome memo"
+            blobs[name] = (
+                {k: b for k, b in files.items() if k not in memos},
+                set(files) & memos)
         reference = blobs.pop("serial")
-        assert reference  # the sweep + yield run really wrote records
+        assert reference[0]  # the sweep + yield run really wrote records
         for name, blob in blobs.items():
             assert blob == reference, f"{name} cache diverged from serial"
+
+    def test_socket_workers_save_memos_into_driver_cache_dir(
+            self, worker_hosts, tmp_path):
+        """The fleet's workers start without any cache flag; the engine's
+        cache_dir, carried with every dispatch, is where they save each
+        task's syndrome memo."""
+        items = mixed_items()
+        Engine(EngineConfig(backend="socket", hosts=worker_hosts,
+                            shard_size=128,
+                            cache_dir=str(tmp_path))).run_sweep(items)
+        cache = ResultCache(str(tmp_path))
+        for item in items:
+            key = memo_cache_key(item.task.content_hash(), item.task.decoder)
+            record = cache.get(key)
+            assert record is not None and record["kind"] == "syndrome_memo"
+            assert record["entries"]
 
     def test_cold_socket_run_warms_serial_run(self, worker_hosts, tmp_path):
         """Cross-backend warm hits: results computed by the socket fleet

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.decoder import MatchingGraph, MwpmDecoder, UnionFindDecoder
+from repro.decoder import base as decoder_base
 from repro.decoder.reference import reference_mwpm_decode as _reference_mwpm_decode
 from repro.stabilizer.dem import DemError, DetectorErrorModel
 
@@ -173,7 +174,7 @@ class TestDedupMachinery:
         assert decoder.memo_hits > 0
 
     def test_memo_limit_zero_disables_cross_batch_memo(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "0")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 0)
         decoder = MwpmDecoder(MatchingGraph(_line_dem()))
         batch = np.zeros((4, 6), dtype=bool)
         batch[:, 2] = True
@@ -186,7 +187,7 @@ class TestDedupMachinery:
         # Regression: the memo used to stop admitting entries once full,
         # degrading a long varied run to a permanently stale cache with
         # zero admission — recent syndromes could never hit again.
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "2")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 2)
         decoder = MwpmDecoder(MatchingGraph(_line_dem()))
         s1, s2, s3 = (0,), (1,), (2,)
         decoder.decode_fired(s1)
@@ -204,7 +205,7 @@ class TestDedupMachinery:
         assert len(decoder._syndrome_memo) == 2
 
     def test_memo_hits_keep_rising_past_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "4")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 4)
         decoder = MwpmDecoder(MatchingGraph(_line_dem()))
         for wave in range(6):
             # A sliding window of distinct syndromes, each seen twice: the
@@ -218,7 +219,7 @@ class TestDedupMachinery:
 
     def test_predictions_identical_across_evictions(self, monkeypatch):
         big = MwpmDecoder(MatchingGraph(_line_dem()))   # default-sized memo
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "1")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 1)
         tiny = MwpmDecoder(MatchingGraph(_line_dem()))
         rng = np.random.default_rng(77)
         dense = rng.random((32, 6)) < 0.25

@@ -1,19 +1,23 @@
 """Validated ``REPRO_*`` environment parsing.
 
-Three helpers back every knob: :func:`repro.env.env_int` for the integer
-variables (``REPRO_WORKERS``, ``REPRO_SHARD_SIZE``, ``REPRO_CHUNK_SHOTS``,
-``REPRO_SYNDROME_CACHE``), :func:`repro.env.env_choice` for the enumerated
-``REPRO_BACKEND`` and :func:`repro.env.env_hosts` for the ``REPRO_HOSTS``
-worker list — so garbage and out-of-range values fail fast with the
-variable's name in the message instead of a bare traceback (or, as
-``REPRO_SYNDROME_CACHE`` once did, a silently accepted negative limit).
+Typed helpers back every knob: :func:`repro.env.env_int` for the integer
+variables (``REPRO_WORKERS``, ``REPRO_SHARD_SIZE``, ``REPRO_SERVICE_PORT``),
+:func:`repro.env.env_choice` for the enumerated ``REPRO_BACKEND``,
+:func:`repro.env.env_hosts` for the ``REPRO_HOSTS`` worker list, plus
+:func:`repro.env.env_float` and :func:`repro.env.env_str` — so garbage and
+out-of-range values fail fast with the variable's name in the message
+instead of a bare traceback (or a silently accepted negative limit).
+README's knob tables list every variable read this way.
 """
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.decoder.base import syndrome_cache_limit
+import repro.env
 from repro.engine.executor import EngineConfig
-from repro.engine.pipeline import default_chunk_shots
 from repro.env import env_choice, env_float, env_hosts, env_int, env_str
 from repro.service.config import (
     service_aging_rate,
@@ -48,33 +52,6 @@ class TestEnvInt:
 
     def test_no_minimum_allows_negatives(self):
         assert env_int("REPRO_X", 7, env={"REPRO_X": "-3"}) == -3
-
-
-class TestSyndromeCacheLimit:
-    def test_default_and_zero(self):
-        assert syndrome_cache_limit(env={}) == 1 << 16
-        assert syndrome_cache_limit(env={"REPRO_SYNDROME_CACHE": "0"}) == 0
-        assert syndrome_cache_limit(env={"REPRO_SYNDROME_CACHE": "128"}) == 128
-
-    def test_negative_rejected(self):
-        # Historically accepted silently and disabled admission forever.
-        with pytest.raises(ValueError, match="REPRO_SYNDROME_CACHE"):
-            syndrome_cache_limit(env={"REPRO_SYNDROME_CACHE": "-1"})
-
-    def test_garbage_rejected_with_name(self):
-        with pytest.raises(ValueError, match="REPRO_SYNDROME_CACHE"):
-            syndrome_cache_limit(env={"REPRO_SYNDROME_CACHE": "lots"})
-
-
-class TestChunkShots:
-    def test_default_and_valid(self):
-        assert default_chunk_shots(env={}) == 1024
-        assert default_chunk_shots(env={"REPRO_CHUNK_SHOTS": "17"}) == 17
-
-    @pytest.mark.parametrize("raw", ["0", "-5", "many"])
-    def test_invalid_rejected_with_name(self, raw):
-        with pytest.raises(ValueError, match="REPRO_CHUNK_SHOTS"):
-            default_chunk_shots(env={"REPRO_CHUNK_SHOTS": raw})
 
 
 class TestEnvChoice:
@@ -212,3 +189,32 @@ class TestServiceKnobs:
              "REPRO_SERVICE_POLL": service_poll_seconds,
              "REPRO_SERVICE_PORT": service_host_port,
              "REPRO_SERVICE_AGING": service_aging_rate}[var]({var: raw})
+
+
+class TestKnobDocs:
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def _read_in_src(self):
+        """``REPRO_*`` names passed as a literal to a :mod:`repro.env` reader."""
+        names = set()
+        for path in sorted((self.ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                func = node.func
+                fname = getattr(func, "id", getattr(func, "attr", None))
+                arg = node.args[0]
+                if (fname in repro.env.__all__
+                        and isinstance(arg, ast.Constant)
+                        and isinstance(arg.value, str)
+                        and arg.value.startswith("REPRO_")):
+                    names.add(arg.value)
+        return names
+
+    def test_readme_tables_list_every_knob_read(self):
+        readme = (self.ROOT / "README.md").read_text()
+        documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", readme,
+                                    flags=re.MULTILINE))
+        read = self._read_in_src()
+        assert read, "scan found no knob reads"
+        assert read == documented

@@ -7,6 +7,12 @@ Two decode-side behaviours:
 * the memo round-trips through the content-addressed on-disk cache
   (keyed by task hash + decoder name), so a restarted worker's first
   shard starts warm (``memo_size > 0`` before any decode).
+
+Where memos are saved has one config source: the dispatching engine's
+``EngineConfig.cache_dir``, carried with every dispatch to whichever
+process (serial, pool worker, socket worker) runs the shard.  Ambient
+``REPRO_CACHE`` and the order in which pools fork play no part.  (The
+socket-worker case runs in ``tests/test_backends.py``, next to its fleet.)
 """
 
 import numpy as np
@@ -14,15 +20,11 @@ import pytest
 
 import repro.engine.executor as ex
 from repro.core import adapt_patch
+from repro.decoder import base as decoder_base
 from repro.decoder.base import BatchDecoderBase
-from repro.engine import LerPointTask
+from repro.engine import Engine, EngineConfig, LerPointTask, ShotPolicy, SweepItem
 from repro.engine.cache import ResultCache
-from repro.engine.pipeline import (
-    DecodingPipeline,
-    memo_cache_key,
-    memo_persist_enabled,
-    memo_preload,
-)
+from repro.engine.pipeline import DecodingPipeline, memo_cache_key
 from repro.noise import DefectSet
 from repro.surface_code import RotatedSurfaceCodeLayout
 
@@ -50,11 +52,8 @@ def _task(p=0.003, decoder="mwpm"):
 def _clean_memo_state(monkeypatch):
     """Isolate each test from ambient cache config and warm task memos."""
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_MEMO_PERSIST", raising=False)
-    memo_preload(None)
     ex._TASK_MEMO.clear()
     yield
-    memo_preload(None)
     ex._TASK_MEMO.clear()
 
 
@@ -63,7 +62,7 @@ def _clean_memo_state(monkeypatch):
 # ----------------------------------------------------------------------
 class TestLruMemo:
     def test_hit_refreshes_recency(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "2")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 2)
         dec = CountingDecoder()
         dec.decode_fired((1,))          # memo: {1}
         dec.decode_fired((2,))          # memo: {1, 2}
@@ -77,7 +76,7 @@ class TestLruMemo:
 
     def test_fifo_regression_shape(self, monkeypatch):
         # Without an interleaved hit, LRU degenerates to FIFO order.
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "2")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 2)
         dec = CountingDecoder()
         for key in ((1,), (2,), (3,)):
             dec.decode_fired(key)
@@ -85,7 +84,7 @@ class TestLruMemo:
         assert dec.memo_evictions == 1
 
     def test_eviction_counter_semantics(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "3")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 3)
         dec = CountingDecoder()
         for i in range(10):
             dec.decode_fired((i,))
@@ -112,7 +111,7 @@ class TestMemoExportImport:
         a = CountingDecoder()
         for i in range(6):
             a.decode_fired((i,))
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "2")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 2)
         b = CountingDecoder()
         assert b.import_memo(a.export_memo()) == 2
         # export is coldest-first, so the hottest tail survives.
@@ -125,7 +124,7 @@ class TestMemoExportImport:
         assert set(b._syndrome_memo) == {(1,), (2,)}
 
     def test_import_disabled_memo(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "0")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 0)
         b = CountingDecoder()
         assert b.import_memo([[[1], [0]]]) == 0
         assert b.memo_size == 0
@@ -177,51 +176,110 @@ class TestMemoPersistence:
         assert memo_cache_key(h, "mwpm") != memo_cache_key(h, "unionfind")
         assert memo_cache_key(h, "mwpm") != memo_cache_key("b" * 64, "mwpm")
 
-    def test_context_for_roundtrip_via_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+    def test_context_for_roundtrip(self, tmp_path):
         task = _task()
-        p1, _ = ex._context_for(task)
+        p1, _ = ex._context_for(task, str(tmp_path))
         p1.run(4000, seed=20240427)
         # _run_ler_shard persists after every shard; emulate one shard.
-        f1 = ex._run_ler_shard(task, np.random.SeedSequence(1), 1000)
+        f1 = ex._run_ler_shard(task, np.random.SeedSequence(1), 1000,
+                               str(tmp_path))
         ex._TASK_MEMO.clear()
-        p2, _ = ex._context_for(task)
+        p2, _ = ex._context_for(task, str(tmp_path))
         assert p2.preloaded_memo_entries > 0
         assert p2.decoder.memo_size > 0      # warm before the first shard
         # Bit-identity: the warm pipeline reproduces the cold shard result.
-        ex._TASK_MEMO[task.content_hash()] = (p2, 0)
-        f2 = ex._run_ler_shard(task, np.random.SeedSequence(1), 1000)
+        ex._TASK_MEMO[(task.content_hash(), str(tmp_path))] = (p2, 0)
+        f2 = ex._run_ler_shard(task, np.random.SeedSequence(1), 1000,
+                               str(tmp_path))
         assert f2[0] == f1[0]
 
-    def test_memo_preload_override_beats_env(self, tmp_path, monkeypatch):
-        override = tmp_path / "override"
-        task = _task()
-        memo_preload(str(override))
-        p1, _ = ex._context_for(task)
-        p1.run(2000, seed=3)
-        assert p1.persist_memo() is True
-        ex._TASK_MEMO.clear()
-        key = memo_cache_key(task.content_hash(), task.decoder)
-        assert ResultCache(str(override)).get(key) is not None
-
-    def test_persistence_gate(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_MEMO_PERSIST", "0")
-        assert memo_persist_enabled() is False
-        task = _task()
-        p1, _ = ex._context_for(task)
-        p1.run(2000, seed=3)
-        assert p1.persist_memo() is False    # never attached
-        key = memo_cache_key(task.content_hash(), task.decoder)
-        assert ResultCache(str(tmp_path)).get(key) is None
-
-    def test_unionfind_memo_isolated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+    def test_unionfind_memo_isolated(self, tmp_path):
         mwpm, uf = _task(), _task(decoder="unionfind")
-        pm, _ = ex._context_for(mwpm)
+        pm, _ = ex._context_for(mwpm, str(tmp_path))
         pm.run(2000, seed=5)
         pm.persist_memo()
         cache = ResultCache(str(tmp_path))
         assert cache.get(memo_cache_key(mwpm.content_hash(), "mwpm"))
         assert cache.get(memo_cache_key(uf.content_hash(),
                                         "unionfind")) is None
+
+
+# ----------------------------------------------------------------------
+# One config source: the engine's cache_dir decides where memos go
+# ----------------------------------------------------------------------
+def _items():
+    return [SweepItem(_task(0.01), ShotPolicy.fixed(640), 1),
+            SweepItem(_task(0.02), ShotPolicy.fixed(256), 2),
+            SweepItem(_task(0.015, decoder="unionfind"),
+                      ShotPolicy.fixed(512), 3)]
+
+
+def _memo_keys(items):
+    return {memo_cache_key(i.task.content_hash(), i.task.decoder)
+            for i in items}
+
+
+def _saved_memos(cache_dir):
+    """Keys of the syndrome-memo records under ``cache_dir``."""
+    cache = ResultCache(str(cache_dir))
+    return {k for k in cache.keys()
+            if cache.get(k)["kind"] == "syndrome_memo"}
+
+
+def _files(cache_dir):
+    return {p.relative_to(cache_dir): p.read_bytes()
+            for p in sorted(cache_dir.rglob("*.json"))}
+
+
+_BACKENDS = {"serial": dict(backend="serial"),
+             "process-2": dict(max_workers=2)}
+
+
+class TestMemoFollowsEngineConfig:
+    @pytest.mark.parametrize("backend", sorted(_BACKENDS))
+    def test_engine_cache_dir_saves_every_memo(self, tmp_path, backend):
+        engine = Engine(EngineConfig(shard_size=128, cache_dir=str(tmp_path),
+                                     **_BACKENDS[backend]))
+        engine.run_sweep(_items())
+        assert _saved_memos(tmp_path) == _memo_keys(_items())
+
+    def test_pool_forked_before_any_cache_still_saves(self, tmp_path,
+                                                      monkeypatch):
+        # Fork the pool's workers while no cache is configured anywhere;
+        # a variable set after the fork is invisible to them.
+        warm = Engine(EngineConfig(max_workers=2, shard_size=128))
+        warm.run_sweep(_items()[:2])
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        engine = Engine(EngineConfig(max_workers=2, shard_size=128,
+                                     cache_dir=str(tmp_path)))
+        engine.run_sweep([SweepItem(i.task, i.policy, i.seed + 10)
+                          for i in _items()])
+        assert _saved_memos(tmp_path) == _memo_keys(_items())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ambient_repro_cache_is_ignored(self, tmp_path, monkeypatch,
+                                            workers):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        engine = Engine(EngineConfig(max_workers=workers, shard_size=128))
+        engine.run_sweep(_items())
+        assert _files(tmp_path) == {}
+
+    @pytest.mark.parametrize("backend", sorted(_BACKENDS))
+    def test_warm_pipeline_never_writes_where_not_asked(self, tmp_path,
+                                                        backend):
+        """One task under cache A, then B, then none: A and B each get a
+        memo record, and the cache-less run writes nowhere, although warm
+        pipelines bound to A and B are still in the task memos."""
+        item = _items()[0]
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for seed, cache_dir in enumerate(dirs):
+            Engine(EngineConfig(shard_size=128, cache_dir=str(cache_dir),
+                                **_BACKENDS[backend])).run_sweep(
+                [SweepItem(item.task, item.policy, seed)])
+        for d in dirs:
+            assert _saved_memos(d) == _memo_keys([item])
+        before = {d: _files(d) for d in dirs}
+        Engine(EngineConfig(shard_size=128, **_BACKENDS[backend])).run_sweep(
+            [SweepItem(item.task, ShotPolicy.fixed(2048), 99)])
+        assert {d: _files(d) for d in dirs} == before
+        assert [p.name for p in sorted(tmp_path.iterdir())] == ["a", "b"]

@@ -13,7 +13,9 @@ import pytest
 
 from repro.core.adaptation import adapt_patch
 from repro.decoder import MwpmDecoder, UnionFindDecoder
-from repro.engine import DecodingPipeline, PipelineStats, default_chunk_shots
+from repro.decoder import base as decoder_base
+from repro.engine import DecodingPipeline, PipelineStats
+from repro.engine.pipeline import CHUNK_SHOTS
 from repro.engine.executor import Engine, EngineConfig
 from repro.engine.tasks import LerPointTask
 from repro.noise.circuit_noise import CircuitNoiseModel
@@ -57,14 +59,11 @@ class TestChunkInvariance:
             assert stats.chunks == -(-shots // chunk)
         assert len(set(tallies.values())) == 1, tallies
 
-    def test_env_knob_sets_default_chunk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SHOTS", "17")
-        assert default_chunk_shots() == 17
+    def test_default_chunk_is_module_constant(self):
         circuit = _circuit()
-        assert DecodingPipeline(circuit, _decoder(circuit)).chunk_shots == 17
-        monkeypatch.setenv("REPRO_CHUNK_SHOTS", "0")
-        with pytest.raises(ValueError):
-            default_chunk_shots()
+        assert CHUNK_SHOTS == 1024
+        assert DecodingPipeline(circuit, _decoder(circuit)).chunk_shots \
+            == CHUNK_SHOTS
 
     def test_invalid_chunk_rejected(self):
         circuit = _circuit()
@@ -129,8 +128,8 @@ class TestPipelineStats:
     def test_memo_counters_surfaced(self, monkeypatch):
         """The syndrome-memo hit/eviction counters flow through the stats
         (and from there into the BENCH decoder artifacts), so
-        REPRO_SYNDROME_CACHE can be sized from CI data."""
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "2")
+        SYNDROME_MEMO_SIZE can be sized from CI data."""
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 2)
         circuit = _circuit(p=0.006)
         tiny = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=25)
         stats = tiny.run(150, seed=13)
@@ -140,7 +139,7 @@ class TestPipelineStats:
         assert stats.memo_size == 2
         assert stats.memo_pressure > 0.0
 
-        monkeypatch.setenv("REPRO_SYNDROME_CACHE", "65536")
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 65536)
         roomy = DecodingPipeline(circuit, _decoder(circuit), chunk_shots=25)
         relaxed = roomy.run(150, seed=13)
         assert relaxed.memo_evictions == 0

@@ -31,6 +31,7 @@ from repro.engine import (
     YieldTask,
     child_stream,
 )
+from repro.engine.pipeline import memo_cache_key
 from repro.noise import DefectSet, LINK_AND_QUBIT
 from repro.service import (
     JobScheduler,
@@ -137,10 +138,12 @@ class TestSpecs:
         keys = spec_cache_keys(spec)
         engine = Engine(EngineConfig(shard_size=128,
                                      cache_dir=str(tmp_path)))
-        engine.run_ler_many([d3_task(p) for p in (0.005, 0.01)],
-                            shots=400, seed=5)
+        tasks = [d3_task(p) for p in (0.005, 0.01)]
+        engine.run_ler_many(tasks, shots=400, seed=5)
+        # One result record per spec key plus one syndrome memo per task.
+        memos = [memo_cache_key(t.content_hash(), t.decoder) for t in tasks]
         cache = ResultCache(tmp_path)
-        assert sorted(keys) == sorted(cache.keys())
+        assert sorted(keys + memos) == sorted(cache.keys())
 
     def test_yield_cache_key_predicts_engine_write(self, tmp_path):
         spec = normalize_spec({"kind": "yield", "task": yield_task().payload(),
@@ -544,12 +547,15 @@ class TestHttpService:
             assert by_item[i]["ci_low"] <= e.failures / e.shots \
                 <= by_item[i]["ci_high"]
 
-        # Byte-identical cache records: same keys, same bytes.
+        # Same keys; result records byte-identical.  Memo contents depend
+        # on which process decoded which shard, so only their keys match.
         svc_cache = ResultCache(tmp_path / "svc-cache")
         ref_cache = ResultCache(direct_cache)
         keys = sorted(ref_cache.keys())
         assert sorted(svc_cache.keys()) == keys
-        for key in keys:
+        memos = {memo_cache_key(t.content_hash(), t.decoder) for t in tasks}
+        assert memos <= set(keys)
+        for key in sorted(set(keys) - memos):
             assert svc_cache.path_for(key).read_bytes() \
                 == ref_cache.path_for(key).read_bytes()
 

@@ -27,6 +27,7 @@ from repro.engine import (
     YieldTask,
 )
 from repro.engine.executor import _plan_fused_groups, _run_ler_shard
+from repro.engine.pipeline import memo_cache_key
 from repro.noise import DefectModel, DefectSet, LINK_AND_QUBIT, LINK_ONLY
 from repro.surface_code import RotatedSurfaceCodeLayout
 
@@ -111,7 +112,10 @@ class TestCrossTaskInterleaving:
                                      cache_dir=str(tmp_path)))
         results = engine.run_ler_many(self.TASKS(), shots=256, seed=None)
         assert [r.shots for r in results] == [256, 256, 256]
-        assert len(ResultCache(tmp_path)) == 0
+        # Syndrome memos may be saved; result records never.
+        memos = {memo_cache_key(t.content_hash(), t.decoder)
+                 for t in self.TASKS()}
+        assert set(ResultCache(tmp_path).keys()) <= memos
 
 
 # ----------------------------------------------------------------------
@@ -254,23 +258,23 @@ class TestGroupedDispatch:
 # Worker-side task-context memo
 # ----------------------------------------------------------------------
 class TestWorkerTaskMemo:
-    def test_memo_is_lru_bounded_and_env_sized(self, monkeypatch):
+    def test_memo_is_lru_bounded_and_sized(self, monkeypatch):
         """Hits refresh recency, builds evict the least-recently-used entry,
-        and the bound follows REPRO_TASK_MEMO (sweeps bigger than the memo
+        and the bound follows TASK_MEMO_SIZE (sweeps bigger than the memo
         would otherwise rebuild contexts on every interleaved shard)."""
         import repro.engine.executor as ex
 
-        monkeypatch.setenv("REPRO_TASK_MEMO", "2")
+        monkeypatch.setattr(ex, "TASK_MEMO_SIZE", 2)
         ex._TASK_MEMO.clear()
         try:
             t1, t2, t3 = d3_task(0.005), d3_task(0.01), d3_task(0.02)
             ex._context_for(t1)
             ex._context_for(t2)
-            ctx1 = ex._TASK_MEMO[t1.content_hash()]
+            ctx1 = ex._TASK_MEMO[(t1.content_hash(), None)]
             ex._context_for(t1)   # LRU refresh: t2 is now the eviction victim
             ex._context_for(t3)
-            assert t2.content_hash() not in ex._TASK_MEMO
-            assert ex._TASK_MEMO[t1.content_hash()] is ctx1
+            assert (t2.content_hash(), None) not in ex._TASK_MEMO
+            assert ex._TASK_MEMO[(t1.content_hash(), None)] is ctx1
             assert len(ex._TASK_MEMO) == 2
         finally:
             ex._TASK_MEMO.clear()
