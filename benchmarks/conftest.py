@@ -31,7 +31,8 @@ from repro.env import env_str
 #: v4: decoder_throughput's mwpm series grew the matcher-tier counters
 #: (dp_decodes, tie_fallbacks, tail_fallbacks).
 #: v5: sweep_scheduler dropped its "interleaved" (fusion-disabled) series.
-BENCH_JSON_SCHEMA = 5
+#: v6: the extract_tally artifact joined the set.
+BENCH_JSON_SCHEMA = 6
 
 
 @pytest.fixture(scope="session")

@@ -11,19 +11,30 @@ memory circuits at p = 1e-3, for both decoders, comparing
   bit-identity property tests, so the refactored decoder cannot
   accidentally accelerate its own baseline).
 
+A second series, ``extract_tally``, times the post-sample work of one
+4096-shot shard (extract + decode + tally) at the sub-threshold point
+p = 5e-4, d=3 and d=5, MWPM: :meth:`DecodingPipeline.run`'s syndrome-level
+chunk path (``PipelineStats.decode_seconds``) against the per-shot route
+(``fired_detectors`` + ``decode_fired_batch`` + a parity-set comparison per
+shot) on the same samples with an equally warm memo.  Counts must be
+equal; the pipeline must be >= 2x faster at d=3, where ~90% of shots are
+empty and per-shot Python dominated.
+
 This file rides the non-blocking benchmark CI job, so the shots/sec
-trajectory of future PRs is recorded in the BENCH artifacts.  The one hard
-assertion is this PR's acceptance criterion: at d=5, p=1e-3, the batched
-MWPM path must deliver >= 5x the per-shot baseline throughput (the margin
-in practice is far larger — most shots dedup away).
+trajectory of future changes is recorded in the BENCH artifacts.  The hard
+assertions: at d=5, p=1e-3, the batched MWPM path must deliver >= 5x the
+per-shot baseline throughput (the margin in practice is far larger — most
+shots dedup away), and the extract+tally gate above.
 """
 
+import statistics
 import time
 
 from repro.core.adaptation import adapt_patch
 from repro.decoder import MatchingGraph, MwpmDecoder, UnionFindDecoder
 from repro.decoder.base import SYNDROME_MEMO_SIZE
 from repro.decoder.reference import reference_mwpm_decode
+from repro.engine import DecodingPipeline
 from repro.noise.circuit_noise import CircuitNoiseModel
 from repro.noise.fabrication import DefectSet
 from repro.stabilizer.dem import build_detector_error_model
@@ -145,3 +156,75 @@ def test_decoder_throughput(benchmark, benchmark_seed):
     assert speedups[(5, "mwpm")] >= 5.0, speedups
     # The UF dedup path must also win clearly at low p.
     assert speedups[(5, "unionfind")] >= 2.0, speedups
+
+
+_TALLY_P = 5e-4
+_TALLY_SHARD = 4096
+_TALLY_SHARDS = 12
+
+
+def _per_shot_route(samples, decoder, chunk_shots):
+    """Extract per-shot tuples, batch-decode, compare parity sets per shot."""
+    failures = empty = 0
+    for start in range(0, samples.num_shots, chunk_shots):
+        stop = min(start + chunk_shots, samples.num_shots)
+        fired = samples.fired_detectors(start, stop)
+        actual = samples.flipped_observables(start, stop)
+        predictions = decoder.decode_fired_batch(fired, assume_canonical=True)
+        for syndrome, parity, flips in zip(fired, predictions, actual):
+            empty += not syndrome
+            failures += bool(parity.symmetric_difference(flips))
+    return failures, empty
+
+
+def test_extract_tally_throughput(benchmark, benchmark_seed):
+    rows = []
+    series = []
+    speedups = {}
+
+    def run():
+        for distance in (3, 5):
+            patch = adapt_patch(RotatedSurfaceCodeLayout(distance), DefectSet.of())
+            circuit = build_memory_circuit(
+                patch, CircuitNoiseModel.standard(_TALLY_P), distance)
+            dem = build_detector_error_model(circuit)
+            pipeline = DecodingPipeline(circuit, MwpmDecoder(dem))
+            reference = MwpmDecoder(dem)
+            sim = PackedFrameSimulator(circuit)
+            pipeline_s, route_s = [], []
+            for shard in range(_TALLY_SHARDS):
+                seed = benchmark_seed + shard
+                stats = pipeline.run(_TALLY_SHARD, seed)
+                samples = sim.reseed(seed).sample(_TALLY_SHARD)
+                start = time.perf_counter()
+                counts = _per_shot_route(samples, reference,
+                                         pipeline.chunk_shots)
+                route_s.append(time.perf_counter() - start)
+                pipeline_s.append(stats.decode_seconds)
+                assert (stats.failures, stats.empty_shots) == counts
+            assert pipeline.decoder.export_memo() == reference.export_memo()
+            pipe_ms = 1e3 * statistics.median(pipeline_s)
+            route_ms = 1e3 * statistics.median(route_s)
+            speedup = route_ms / max(pipe_ms, 1e-9)
+            speedups[distance] = speedup
+            rows.append((f"d={distance} mwpm",
+                         f"pipeline {pipe_ms:7.2f} ms/shard, "
+                         f"per-shot route {route_ms:7.2f} ms/shard, "
+                         f"speedup {speedup:5.1f}x"))
+            series.append({
+                "label": f"d={distance} mwpm",
+                "distance": distance,
+                "decoder": "mwpm",
+                "shard_shots": _TALLY_SHARD,
+                "shards": _TALLY_SHARDS,
+                "pipeline_ms_per_shard": pipe_ms,
+                "per_shot_route_ms_per_shard": route_ms,
+                "speedup": speedup,
+            })
+        return rows
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    print_series(f"Extract+decode+tally per shard (p={_TALLY_P})", rows)
+    write_bench_json("extract_tally", series, physical_error_rate=_TALLY_P,
+                     gates={"d3_mwpm": 2.0})
+    assert speedups[3] >= 2.0, speedups

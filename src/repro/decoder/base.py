@@ -5,13 +5,17 @@ the large majority of shots produce the *empty* syndrome, and the non-empty
 ones collapse to a small set of distinct fired-detector patterns.  The
 :class:`BatchDecoderBase` mixin exploits that:
 
-1. every shot is canonicalised to a sorted tuple of fired detector indices
-   (the *sparse syndrome*, exactly what
-   :meth:`~repro.stabilizer.packed.PackedDetectorSamples.fired_detectors`
-   yields);
+1. every shot's syndrome is a sorted tuple of fired detector indices (the
+   *sparse syndrome*); the decoding pipeline never builds one per shot —
+   :meth:`~repro.stabilizer.packed.PackedDetectorSamples.distinct_syndromes`
+   hands it each chunk's distinct syndromes in first-occurrence order, and
+   :meth:`BatchDecoderBase.decode_distinct` (the one decode core, also
+   behind :meth:`BatchDecoderBase.decode_fired_batch`) decodes them in
+   that order;
 2. the empty syndrome short-circuits to "no correction";
 3. distinct syndromes are decoded **once** per batch and the predictions are
-   scattered back to every shot that produced them;
+   scattered back to every shot that produced them (by the pipeline's
+   inverse index, or by ``decode_fired_batch`` for per-shot callers);
 4. a bounded cross-batch memo (:data:`SYNDROME_MEMO_SIZE` entries, 65536;
    ``0`` disables it) lets later batches — e.g. successive waves of
    the adaptive shot scheduler — reuse earlier decodes outright; once full
@@ -183,24 +187,32 @@ class BatchDecoderBase:
         :meth:`~repro.stabilizer.packed.PackedDetectorSamples.fired_detectors`)
         skip the per-shot sorted-tuple rebuild as well.
         """
-        self.shots_decoded += len(fired_lists)
         empty: FrozenSet[int] = frozenset()
-        distinct: dict = {}
         keys: List[Syndrome] = []
         for fired in fired_lists:
             if not len(fired):
                 keys.append(())
-                continue
-            if assume_canonical and type(fired) is tuple:
-                key: Syndrome = fired
+            elif assume_canonical and type(fired) is tuple:
+                keys.append(fired)
             else:
-                key = tuple(sorted(int(i) for i in fired))
-            keys.append(key)
-            if key not in distinct:
-                distinct[key] = None
-        for key in distinct:
-            distinct[key] = self._decode_canonical(key)
-        return [distinct[key] if key else empty for key in keys]
+                keys.append(tuple(sorted(int(i) for i in fired)))
+        distinct = list(dict.fromkeys(key for key in keys if key))
+        parities = dict(zip(distinct, self.decode_distinct(distinct, len(keys))))
+        return [parities[key] if key else empty for key in keys]
+
+    def decode_distinct(self, syndromes: Sequence[Syndrome],
+                        shots: int) -> List[FrozenSet[int]]:
+        """Decode distinct non-empty canonical syndromes, in the given order.
+
+        The one decode core behind every batch entry point: each syndrome
+        goes through the memoised :meth:`_decode_canonical` exactly once, so
+        memo hits, decodes, LRU recency and evictions follow ``syndromes``'
+        order, and ``shots`` (the shots the batch stands for, empty ones
+        included) is credited to ``shots_decoded``.
+        """
+        self.shots_decoded += shots
+        decode = self._decode_canonical
+        return [decode(key) for key in syndromes]
 
     # ------------------------------------------------------------------
     def _densify(self, parity: FrozenSet[int]) -> np.ndarray:

@@ -7,20 +7,28 @@ into a failure count for one circuit:
   detector record into bit-packed rows (64 shots per ``uint64`` word — the
   frame never materialises a dense boolean matrix);
 * shots stream through the decoder in fixed-size chunks
-  (:data:`CHUNK_SHOTS`, 1024): each chunk is extracted *sparsely*
-  (per-shot fired-detector index tuples) straight from the packed words, so
-  the decode stage never materialises a dense boolean matrix and its peak
-  memory is bounded by the chunk.  (Sampling itself is per-shard — chunked
-  sampling would change the RNG draw order and break bit-identity — but the
-  packed record is 8x smaller than the historical boolean arrays, and shard
-  size is already capped by ``REPRO_SHARD_SIZE``.);
-* the decoder's deduplicating batch path
-  (:meth:`~repro.decoder.base.BatchDecoderBase.decode_fired_batch`) decodes
-  each distinct syndrome once; its cross-batch memo and the matching graph's
-  geodesic cache persist inside the pipeline object, so successive chunks,
-  shards and scheduler waves reuse warm caches;
-* failures are tallied by comparing predicted observable parity sets against
-  the actual flipped-observable sets, shot by shot, without densifying.
+  (:data:`CHUNK_SHOTS`, 1024), and each chunk is handled at the *syndrome*
+  level with whole-chunk array work — no per-shot Python.  Only the chunk's
+  words are read: they are transposed into one byte-string key per shot
+  (:meth:`~repro.stabilizer.packed.PackedDetectorSamples.distinct_syndromes`),
+  one OR over the keys splits off the empty shots, and ``np.unique`` over
+  the rest gives the chunk's distinct syndromes plus an inverse index, so
+  peak decode memory is bounded by the chunk.  (Sampling itself is
+  per-shard — chunked sampling would change the RNG draw order and break
+  bit-identity — but the packed record is 8x smaller than boolean arrays,
+  and shard size is capped by ``REPRO_SHARD_SIZE``.);
+* the decoder decodes each distinct syndrome once, in order of first
+  occurrence (:meth:`~repro.decoder.base.BatchDecoderBase.decode_distinct`,
+  the core ``decode_fired_batch`` uses too, so memo hits, decodes, LRU
+  recency and evictions match the per-shot route exactly); its
+  cross-batch memo and the matching graph's geodesic cache persist inside
+  the pipeline object, so successive chunks, shards and scheduler waves
+  reuse warm caches;
+* failures are tallied by comparing each distinct syndrome's predicted
+  observable key, gathered through the inverse index, with every shot's
+  actual observable key (the same byte packing, any observable count); an
+  empty shot fails exactly when an observable flipped, and a predicted
+  index past ``num_observables`` always counts as a mismatch.
 
 The executor keeps one pipeline per task content hash per worker process
 (:func:`repro.engine.executor._context_for`), which is what lets the
@@ -48,7 +56,9 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import FrozenSet, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..decoder.base import BatchDecoderBase
 from ..stabilizer.circuit import Circuit
@@ -73,6 +83,28 @@ def memo_cache_key(task_hash: str, decoder_name: str) -> str:
     """
     body = f"syndrome_memo:{task_hash}:{decoder_name}"
     return hashlib.sha256(body.encode()).hexdigest()
+
+
+def _parity_bytes(parities: Sequence[FrozenSet[int]],
+                  num_observables: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Predicted flips of decoded syndromes as keys, plus a mismatch flag.
+
+    Keys are byte-major like
+    :meth:`~repro.stabilizer.packed.PackedDetectorSamples.observable_bytes`
+    (column ``u`` is syndrome ``u``), for any observable count.  A predicted
+    index at or past ``num_observables`` can never match an actual flip, so
+    its syndrome is flagged to fail on every shot — exactly what a per-shot
+    parity-set comparison counts.
+    """
+    predicted = np.zeros((len(parities), num_observables), dtype=bool)
+    unmatched = np.zeros(len(parities), dtype=bool)
+    for row, parity in enumerate(parities):
+        for obs in parity:
+            if obs < num_observables:
+                predicted[row, obs] = True
+            else:
+                unmatched[row] = True
+    return np.packbits(predicted, axis=1, bitorder="little").T, unmatched
 
 
 @dataclass(frozen=True)
@@ -230,16 +262,20 @@ class DecodingPipeline:
         failures = 0
         empty_shots = 0
         chunks = 0
+        num_observables = samples.num_observables
         for start in range(0, shots, self.chunk_shots):
             stop = min(start + self.chunk_shots, shots)
-            fired = samples.fired_detectors(start, stop)
-            actual = samples.flipped_observables(start, stop)
-            predictions = decoder.decode_fired_batch(fired, assume_canonical=True)
-            for syndrome, parity, actual_flips in zip(fired, predictions, actual):
-                if not syndrome:
-                    empty_shots += 1
-                if parity.symmetric_difference(actual_flips):
-                    failures += 1
+            chunk = samples.distinct_syndromes(start, stop)
+            parities = decoder.decode_distinct(chunk.rows, stop - start)
+            predicted, unmatched = _parity_bytes(parities, num_observables)
+            actual = samples.observable_bytes(start, stop)
+            # An empty syndrome predicts no flip: it fails iff one happened.
+            wrong = np.bitwise_or.reduce(actual, axis=0) != 0
+            nonempty, inverse = chunk.nonempty, chunk.inverse
+            wrong[nonempty] = unmatched[inverse] | np.any(
+                predicted[:, inverse] != actual[:, nonempty], axis=0)
+            failures += int(np.count_nonzero(wrong))
+            empty_shots += stop - start - nonempty.size
             chunks += 1
         t2 = time.perf_counter()
 

@@ -87,11 +87,17 @@ rows and offers
 * dense compatibility copies (``.detectors`` / ``.observables``) matching
   :class:`~repro.stabilizer.frame.DetectorSamples`, so existing callers keep
   working, and
-* *sparse syndrome extraction* (:meth:`PackedDetectorSamples.fired_detectors`
-  / :meth:`PackedDetectorSamples.flipped_observables`): per-shot tuples of
-  fired detector indices, which is what the deduplicating batch decoders
-  consume.  At low physical error rates most rows are empty or nearly so,
-  and the index lists are far smaller than dense rows.
+* *chunk extraction* over one core: the words covering a shot range are
+  transposed in 8x8 bit blocks into one byte-string key per shot, one OR
+  over the keys splits off the empty shots, and ``np.unique`` over the
+  rest yields the range's distinct rows in first-occurrence order with an
+  inverse index (:meth:`PackedDetectorSamples.distinct_syndromes`, what the
+  decoding pipeline consumes).  The per-shot views
+  :meth:`PackedDetectorSamples.fired_detectors` /
+  :meth:`PackedDetectorSamples.flipped_observables` scatter those distinct
+  tuples back to one sorted tuple per shot, so tuples are built once per
+  distinct row, never per shot — at low physical error rates most rows are
+  empty or repeat.
 """
 
 from __future__ import annotations
@@ -105,8 +111,8 @@ from .bitpack import WORD_BITS, num_words, pack_rows, unpack_bits
 from .circuit import Circuit
 from .frame import DetectorSamples
 
-__all__ = ["PackedDetectorSamples", "PackedFrameSimulator", "RNG_MODES",
-           "sample_detectors_packed"]
+__all__ = ["DistinctRows", "PackedDetectorSamples", "PackedFrameSimulator",
+           "RNG_MODES", "sample_detectors_packed"]
 
 #: Supported RNG modes: ``"exact"`` reproduces the paper-exact per-target
 #: draw stream bit-for-bit; ``"bitgen"`` is the opt-in fast bit-level
@@ -171,43 +177,119 @@ class PackedDetectorSamples:
 
         return popcount(self.detectors_packed) / (self.num_detectors * self.num_shots)
 
-    # -- sparse extraction ---------------------------------------------
-    def _sparse_rows(self, packed: np.ndarray, start: int, stop: int) -> List[Tuple[int, ...]]:
-        """Per-shot sorted index tuples for shots ``start..stop`` of a row set.
+    # -- chunk extraction ----------------------------------------------
+    def _key_bytes(self, packed: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Per-shot keys of a row set over shots ``start..stop``, byte-major.
 
-        Only the words covering the requested shot range are unpacked, so a
-        chunked consumer never materialises the full dense matrix.
+        Column ``s`` of the ``(ceil(rows / 8), stop - start)`` uint8 result
+        is shot ``start + s``'s key: its row bits packed little-endian (bit
+        ``r % 8`` of byte ``r // 8`` is row ``r``).  Only the words covering
+        the range are read, and they are transposed in 8x8 bit blocks (8
+        rows x 8 shots per ``uint64``), so no dense boolean matrix is built.
+        Byte-major keeps every per-shot reduction a whole-row operation.
         """
         start, stop = int(start), int(stop)
         if not 0 <= start <= stop <= self.num_shots:
             raise ValueError(f"shot range [{start}, {stop}) outside 0..{self.num_shots}")
-        n = stop - start
-        if n == 0:
-            return []
-        if packed.shape[0] == 0:
-            return [() for _ in range(n)]
+        rows = packed.shape[0]
+        groups = -(-rows // 8)
         word_lo = start // WORD_BITS
         word_hi = num_words(stop)
-        bits = unpack_bits(packed[:, word_lo:word_hi], (word_hi - word_lo) * WORD_BITS)
-        window = bits[:, start - word_lo * WORD_BITS: start - word_lo * WORD_BITS + n]
-        rows, cols = np.nonzero(window.T)  # (shot, index) pairs, shot-major
-        out: List[Tuple[int, ...]] = [()] * n
-        if rows.size:
-            split_at = np.searchsorted(rows, np.arange(1, n))
-            for shot, idx in enumerate(np.split(cols, split_at)):
-                if idx.size:
-                    out[shot] = tuple(int(i) for i in idx)
-        return out
+        nbytes = (word_hi - word_lo) * (WORD_BITS // 8)
+        block = np.zeros((8 * groups, word_hi - word_lo), dtype=np.uint64)
+        block[:rows] = packed[:, word_lo:word_hi]
+        # Byte b of x[g, j] holds shots 8j..8j+7 of row 8g+b: an 8x8 bit
+        # matrix whose transpose holds rows 8g..8g+7 of each of those shots.
+        x = np.ascontiguousarray(block.view(np.uint8).reshape(groups, 8, nbytes)
+                                 .transpose(0, 2, 1)).view(np.uint64)[..., 0]
+        for shift, mask in _TRANSPOSE_8X8:
+            t = (x ^ (x >> shift)) & mask
+            x ^= t ^ (t << shift)
+        offset = start - word_lo * WORD_BITS
+        return x.view(np.uint8)[:, offset:offset + stop - start]
+
+    def _distinct_rows(self, packed: np.ndarray, start: int, stop: int) -> "DistinctRows":
+        """The chunk core: distinct non-empty rows of shots ``start..stop``.
+
+        One OR over the key bytes splits off the empty shots and
+        ``np.unique`` over the rest finds the distinct rows, so index tuples
+        are built once per distinct row, never per shot.
+        """
+        key_bytes = self._key_bytes(packed, start, stop)
+        nonempty = np.flatnonzero(np.bitwise_or.reduce(key_bytes, axis=0))
+        if nonempty.size == 0:
+            return DistinctRows(key_bytes.shape[1], nonempty, nonempty, [])
+        keys = np.ascontiguousarray(key_bytes[:, nonempty].T)
+        _, first, inverse = np.unique(
+            keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+            return_index=True, return_inverse=True)
+        # np.unique sorts by key bytes; renumber by first occurrence.
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        bits = np.unpackbits(keys[first[order]], axis=1,
+                             count=packed.shape[0], bitorder="little")
+        owner, cols = np.nonzero(bits)
+        flat = cols.tolist()
+        rows: List[Tuple[int, ...]] = []
+        at = 0
+        for count in np.bincount(owner, minlength=order.size).tolist():
+            rows.append(tuple(flat[at:at + count]))
+            at += count
+        return DistinctRows(key_bytes.shape[1], nonempty, rank[inverse.ravel()], rows)
+
+    def distinct_syndromes(self, start: int = 0, stop: Optional[int] = None) -> "DistinctRows":
+        """Distinct sparse syndromes of a shot range, in first-occurrence order."""
+        stop = self.num_shots if stop is None else stop
+        return self._distinct_rows(self.detectors_packed, start, stop)
+
+    def observable_bytes(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Flipped observables of a shot range as byte-major per-shot keys.
+
+        Shape ``(ceil(num_observables / 8), stop - start)``: column ``s`` is
+        ``np.packbits(observables[start + s], bitorder="little")``, for any
+        observable count.
+        """
+        stop = self.num_shots if stop is None else stop
+        return self._key_bytes(self.observables_packed, start, stop)
 
     def fired_detectors(self, start: int = 0, stop: Optional[int] = None) -> List[Tuple[int, ...]]:
         """Sparse syndromes: one sorted tuple of fired detectors per shot."""
-        stop = self.num_shots if stop is None else stop
-        return self._sparse_rows(self.detectors_packed, start, stop)
+        return self.distinct_syndromes(start, stop).per_shot()
 
     def flipped_observables(self, start: int = 0, stop: Optional[int] = None) -> List[Tuple[int, ...]]:
         """One sorted tuple of flipped observable indices per shot."""
         stop = self.num_shots if stop is None else stop
-        return self._sparse_rows(self.observables_packed, start, stop)
+        return self._distinct_rows(self.observables_packed, start, stop).per_shot()
+
+
+#: Delta swaps transposing the 8x8 bit matrix of a uint64 (bit 8r + c
+#: <-> bit 8c + r), after Hacker's Delight, section 7-3.
+_TRANSPOSE_8X8 = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+
+
+@dataclass(frozen=True)
+class DistinctRows:
+    """Distinct non-empty rows of one shot range of a packed row set.
+
+    ``nonempty`` holds the (range-relative, ascending) offsets of the shots
+    with at least one bit set, ``inverse[i]`` the index into ``rows`` of
+    shot ``nonempty[i]``, and ``rows`` the distinct sorted index tuples in
+    order of first occurrence.
+    """
+
+    num_shots: int
+    nonempty: np.ndarray
+    inverse: np.ndarray
+    rows: List[Tuple[int, ...]]
+
+    def per_shot(self) -> List[Tuple[int, ...]]:
+        """Scatter the distinct rows back to one tuple per shot (``()`` if empty)."""
+        slot = np.zeros(self.num_shots, dtype=np.intp)
+        slot[self.nonempty] = self.inverse + 1
+        table: List[Tuple[int, ...]] = [()] + self.rows
+        return list(map(table.__getitem__, slot.tolist()))
 
 
 # ----------------------------------------------------------------------

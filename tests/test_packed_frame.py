@@ -16,6 +16,8 @@ cases).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stabilizer import (
     Circuit,
@@ -232,6 +234,38 @@ class TestPackedSamples:
             got = samples.flipped_observables(start, stop)
             assert got == [tuple(np.flatnonzero(dense_obs[s]))
                            for s in range(start, stop)], (start, stop)
+
+
+_PROPERTY_SAMPLES = {}
+
+
+def _property_samples(p):
+    """One cached 300-shot sample per p (d=3 memory circuit, seed 11)."""
+    if p not in _PROPERTY_SAMPLES:
+        samples = sample_detectors_packed(_memory_circuit(p=p), shots=300,
+                                          seed=11)
+        _PROPERTY_SAMPLES[p] = (samples, samples.detectors,
+                                samples.observables)
+    return _PROPERTY_SAMPLES[p]
+
+
+class TestChunkExtractionProperty:
+    """The chunk core's views equal ``np.flatnonzero`` of the dense rows on
+    any shot range, word-aligned or not."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([0.001, 0.02, 0.2]),
+           bounds=st.tuples(st.integers(0, 300), st.integers(0, 300)))
+    def test_views_match_dense_rows(self, p, bounds):
+        samples, dense, dense_obs = _property_samples(p)
+        start, stop = sorted(bounds)
+        assert samples.fired_detectors(start, stop) == [
+            tuple(np.flatnonzero(dense[s])) for s in range(start, stop)]
+        assert samples.flipped_observables(start, stop) == [
+            tuple(np.flatnonzero(dense_obs[s])) for s in range(start, stop)]
+        assert np.array_equal(
+            samples.observable_bytes(start, stop),
+            np.packbits(dense_obs[start:stop], axis=1, bitorder="little").T)
 
 
 class TestZeroShotContract:

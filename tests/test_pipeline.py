@@ -1,12 +1,15 @@
 """Tests for the fused sample→decode→tally pipeline.
 
-The two load-bearing properties:
+The load-bearing properties:
 
-* chunking is invisible — chunk sizes 1, 7 and ``shots`` produce identical
-  tallies (the satellite acceptance criterion), and
+* chunking is invisible — chunk sizes 1, 7, 25, 100 and ``shots`` produce
+  identical tallies;
 * the pipeline is bit-identical to the legacy unpacked
   sample-then-``decode_batch`` path for the same seed, which is what keeps
-  every engine result stable across this refactor.
+  every engine result stable across this refactor; and
+* the syndrome-level chunk path of :meth:`DecodingPipeline.run` equals the
+  per-shot route (``fired_detectors`` + ``decode_fired_batch`` + a
+  parity-set tally per shot) counter for counter, memo snapshot included.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from repro.engine.executor import Engine, EngineConfig
 from repro.engine.tasks import LerPointTask
 from repro.noise.circuit_noise import CircuitNoiseModel
 from repro.noise.fabrication import DefectSet
+from repro.stabilizer import Circuit, PackedFrameSimulator
 from repro.stabilizer.dem import build_detector_error_model
 from repro.stabilizer.frame import FrameSimulator
 from repro.surface_code.circuits import build_memory_circuit
@@ -37,6 +41,70 @@ def _decoder(circuit, kind="mwpm"):
     return MwpmDecoder(dem) if kind == "mwpm" else UnionFindDecoder(dem)
 
 
+def _repetition_circuit(n=5, p=0.1, observables=1, detectors=True):
+    """Bit-flip repetition code: small enough to vary the detector and
+    observable counts freely.  Only the last observable reads a qubit (qubit
+    0); the others are empty, so with 70 observables every logical flip
+    shows only past index 63."""
+    c = Circuit(n)
+    c.append("R", list(range(n)))
+    c.append("X_ERROR", list(range(n)), p)
+    c.append("M", list(range(n)))
+    if detectors:
+        for i in range(n - 1):
+            c.append("DETECTOR", [i, i + 1])
+    for k in range(observables):
+        c.append("OBSERVABLE_INCLUDE", [0] if k == observables - 1 else [], k)
+    return c
+
+
+class _OutOfRangeMwpm(MwpmDecoder):
+    """Predicts an extra observable index past ``num_observables``."""
+
+    def _decode_fired(self, fired):
+        return super()._decode_fired(fired) | {self.num_observables + 3}
+
+
+def _per_shot_route(circuit, decoder, shots, seed, chunk_shots):
+    """The per-shot route: sparse tuples, batch decode, parity-set tally."""
+    samples = PackedFrameSimulator(circuit).reseed(seed).sample(shots)
+    failures = empty = chunks = 0
+    for start in range(0, shots, chunk_shots):
+        stop = min(start + chunk_shots, shots)
+        fired = samples.fired_detectors(start, stop)
+        actual = samples.flipped_observables(start, stop)
+        predictions = decoder.decode_fired_batch(fired, assume_canonical=True)
+        for syndrome, parity, flips in zip(fired, predictions, actual):
+            empty += not syndrome
+            failures += bool(parity.symmetric_difference(flips))
+        chunks += 1
+    return failures, empty, chunks
+
+
+def _assert_matches_per_shot_route(circuit, make_decoder, shots, chunk_shots,
+                                   seeds=(3, 4, 3)):
+    """Run both routes over the same seeds on equal fresh decoders (so the
+    memo carries across runs) and compare every counter and the memo."""
+    pipeline = DecodingPipeline(circuit, make_decoder(),
+                                chunk_shots=chunk_shots)
+    reference = make_decoder()
+    for seed in seeds:
+        decoded, hits, evicted = (reference.decoded_syndromes,
+                                  reference.memo_hits, reference.memo_evictions)
+        stats = pipeline.run(shots, seed=seed)
+        failures, empty, chunks = _per_shot_route(circuit, reference, shots,
+                                                  seed, chunk_shots)
+        assert (stats.failures, stats.empty_shots, stats.chunks) \
+            == (failures, empty, chunks)
+        assert stats.distinct_syndromes == reference.decoded_syndromes - decoded
+        assert stats.memo_hits == reference.memo_hits - hits
+        assert stats.memo_evictions == reference.memo_evictions - evicted
+        assert stats.memo_size == reference.memo_size
+    assert pipeline.decoder.shots_decoded == reference.shots_decoded
+    assert pipeline.decoder.export_memo() == reference.export_memo()
+    return stats
+
+
 def _legacy_failures(circuit, decoder_kind, shots, seed):
     """The historical unpacked path: sample, dense decode_batch, tally."""
     samples = FrameSimulator(circuit, seed=seed).sample(shots)
@@ -50,7 +118,7 @@ class TestChunkInvariance:
         circuit = _circuit()
         shots = 40
         tallies = {}
-        for chunk in (1, 7, shots):
+        for chunk in (1, 7, 25, 100, shots):
             pipeline = DecodingPipeline(circuit, _decoder(circuit, decoder_kind),
                                         chunk_shots=chunk)
             stats = pipeline.run(shots, seed=31)
@@ -92,6 +160,57 @@ class TestBitIdentityWithLegacyPath:
         # The second run decodes nothing new: every syndrome is memoised.
         assert second.distinct_syndromes == 0
         assert second.memo_hits > 0
+
+
+class TestSyndromeLevelMatchesPerShotRoute:
+    @pytest.mark.parametrize("decoder_kind", ["mwpm", "unionfind"])
+    @pytest.mark.parametrize("p", [0.001, 0.006])
+    def test_memory_circuit(self, decoder_kind, p):
+        circuit = _circuit(p=p)
+        _assert_matches_per_shot_route(
+            circuit, lambda: _decoder(circuit, decoder_kind), 600, 128)
+
+    @pytest.mark.parametrize("decoder_kind", ["mwpm", "unionfind"])
+    def test_memo_evictions(self, decoder_kind, monkeypatch):
+        # The 2-entry memo of test_memo_counters_surfaced: LRU order and
+        # evictions must follow the per-shot route's first-occurrence order.
+        monkeypatch.setattr(decoder_base, "SYNDROME_MEMO_SIZE", 2)
+        circuit = _circuit(p=0.006)
+        stats = _assert_matches_per_shot_route(
+            circuit, lambda: _decoder(circuit, decoder_kind), 150, 25)
+        assert stats.memo_evictions > 0 and stats.memo_size == 2
+
+    @pytest.mark.parametrize("decoder_kind", ["mwpm", "unionfind"])
+    @pytest.mark.parametrize("chunk", [25, 100])
+    def test_unaligned_chunks_and_shots(self, decoder_kind, chunk):
+        circuit = _circuit(p=0.002)
+        _assert_matches_per_shot_route(
+            circuit, lambda: _decoder(circuit, decoder_kind), 4097, chunk,
+            seeds=(8,))
+
+    @pytest.mark.parametrize("decoder_kind", ["mwpm", "unionfind"])
+    @pytest.mark.parametrize("case", ["all_empty", "no_detectors",
+                                      "no_observables", "70_observables"])
+    def test_edge_circuits(self, decoder_kind, case):
+        circuit = {
+            "all_empty": lambda: _repetition_circuit(p=0.0),
+            "no_detectors": lambda: _repetition_circuit(detectors=False),
+            "no_observables": lambda: _repetition_circuit(observables=0),
+            "70_observables": lambda: _repetition_circuit(observables=70),
+        }[case]()
+        stats = _assert_matches_per_shot_route(
+            circuit, lambda: _decoder(circuit, decoder_kind), 4097, 100)
+        if case in ("all_empty", "no_detectors"):
+            assert stats.empty_shots == stats.shots
+        if case == "70_observables":
+            assert stats.failures > 0
+
+    def test_out_of_range_prediction_counts_as_mismatch(self):
+        circuit = _circuit(p=0.004)
+        dem = build_detector_error_model(circuit)
+        stats = _assert_matches_per_shot_route(
+            circuit, lambda: _OutOfRangeMwpm(dem), 300, 64)
+        assert stats.failures == stats.shots - stats.empty_shots
 
 
 class TestPipelineStats:
