@@ -32,7 +32,8 @@ from repro.env import env_str
 #: (dp_decodes, tie_fallbacks, tail_fallbacks).
 #: v5: sweep_scheduler dropped its "interleaved" (fusion-disabled) series.
 #: v6: the extract_tally artifact joined the set.
-BENCH_JSON_SCHEMA = 6
+#: v7: the dem_build artifact joined the set.
+BENCH_JSON_SCHEMA = 7
 
 
 @pytest.fixture(scope="session")

@@ -72,7 +72,10 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(body, fh, sort_keys=True)
+                # One dumps + write: the same bytes as json.dump, but through
+                # the C encoder (json.dump streams via the pure-Python one,
+                # ~4x slower on a large syndrome memo).
+                fh.write(json.dumps(body, sort_keys=True))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

@@ -362,9 +362,12 @@ def _context_for(task: LerPointTask, cache_dir: Optional[str] = None) -> tuple:
     that re-enter the same task decode against warm caches.  With a
     ``cache_dir`` the pipeline is bound to that result cache: it imports any
     persisted syndrome memo before its first shard and
-    :func:`_run_ler_shard` saves the memo back after each shard.  Without
-    one nothing is read or written.  The memo is LRU-bounded by
-    :data:`TASK_MEMO_SIZE`.
+    :func:`_run_ler_shards` saves the memo back once per task, after the
+    dispatch group's last shard.  Without one nothing is read or written.
+    The memo is LRU-bounded by :data:`TASK_MEMO_SIZE`.  The DEM itself comes
+    from the per-process structure-template LRU in
+    :mod:`repro.stabilizer.dem`, so tasks that differ only in noise rates
+    share one structure pass.
     """
     task_hash = task.content_hash()
     key = (task_hash, cache_dir)
@@ -395,12 +398,12 @@ def _run_ler_shard(task: LerPointTask, seed: Seed, shots: int,
                    cache_dir: Optional[str] = None) -> Tuple[int, int, int]:
     """Sample + decode one shard; returns (failures, detectors, dem errors).
 
-    ``cache_dir`` is the dispatching engine's result cache: the shard's
-    syndrome memo is saved there (or nowhere, when it is ``None``).
+    ``cache_dir`` binds the task's warm pipeline to the dispatching engine's
+    result cache (see :func:`_context_for`); saving the grown syndrome memo
+    is left to :func:`_run_ler_shards`, once per task per group.
     """
     pipeline, dem_size = _context_for(task, cache_dir)
     stats = pipeline.run(shots, seed=seed)
-    pipeline.persist_memo()
     return (int(stats.failures), int(pipeline.circuit.num_detectors),
             int(dem_size))
 
@@ -411,10 +414,18 @@ def _run_ler_shards(jobs: Sequence[Tuple[LerPointTask, Seed, int]],
 
     The engine's only LER worker entry point — a lone shard is a group of
     one.  Every job reuses its task's warm pipeline from the task memo, so
-    a group of N shards pays one dispatch round-trip instead of N.
+    a group of N shards pays one dispatch round-trip instead of N.  After
+    the group's last shard each distinct task's syndrome memo is saved once,
+    in first-seen order (nothing without ``cache_dir``), from the warm
+    pipeline the task memo still holds; an unwritable cache directory
+    therefore fails the whole group.
     """
-    return [_run_ler_shard(task, seed, shots, cache_dir)
-            for task, seed, shots in jobs]
+    results = [_run_ler_shard(task, seed, shots, cache_dir)
+               for task, seed, shots in jobs]
+    if cache_dir is not None:
+        for task in dict.fromkeys(task for task, _, _ in jobs):
+            _context_for(task, cache_dir)[0].persist_memo()
+    return results
 
 
 #: Grouped dispatch: ``run_sweep`` packs at most this many shards into one

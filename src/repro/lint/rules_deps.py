@@ -8,8 +8,9 @@ machine works locally and breaks ``pip install .`` everywhere else, so:
   import`` must be stdlib (:data:`sys.stdlib_module_names`), ``repro``
   itself, or a name in ``[project].dependencies``;
 * in ``tests/`` and ``benchmarks/``, names from the ``test`` extra
-  (``[project.optional-dependencies]``) and the local ``conftest`` helper
-  module are allowed as well.
+  (``[project.optional-dependencies]``), the local ``conftest`` helper
+  module and the test-only helper modules in :data:`_TEST_HELPERS` are
+  allowed as well.
 
 Relative imports are local by construction and never flagged.  Declared
 distribution names are matched to import names by the usual
@@ -38,6 +39,11 @@ RULE_ID = "R007"
 
 #: First-party and local helper modules, importable without declaration.
 _LOCAL = frozenset({"repro", "conftest"})
+
+#: Helper modules that live in ``tests/`` (not packages, never installed):
+#: importable from tests and benchmarks only.  ``dem_reference`` is the
+#: frozen one-shot DEM builder the template builder is checked against.
+_TEST_HELPERS = frozenset({"dem_reference"})
 
 _REQUIREMENT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -125,7 +131,7 @@ def _check(ctx: FileContext) -> Iterator[Finding]:
         return
     runtime, test_extra = declared
     in_src = ctx.path.replace("\\", "/").startswith("src/")
-    allowed = runtime if in_src else runtime | test_extra
+    allowed = runtime if in_src else runtime | test_extra | _TEST_HELPERS
     for node, top in _imported_tops(ctx.tree):
         if top in sys.stdlib_module_names or top in _LOCAL or top in allowed:
             continue

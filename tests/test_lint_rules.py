@@ -333,6 +333,14 @@ class TestR007Deps:
         assert rule_ids(source, path="tests/test_x.py", rules=["R007"]) == []
         assert rule_ids(source, path="benchmarks/test_x.py", rules=["R007"]) == []
 
+    def test_test_helper_modules_are_local_outside_src_only(self):
+        source = """
+            from dem_reference import build_detector_error_model
+        """
+        assert rule_ids(source, path="tests/test_x.py", rules=["R007"]) == []
+        assert rule_ids(source, path="benchmarks/test_x.py", rules=["R007"]) == []
+        assert rule_ids(source, rules=["R007"]) == ["R007"]
+
     def test_test_extra_is_flagged_in_src(self):
         found = findings("""
             from hypothesis import given

@@ -180,9 +180,10 @@ class TestMemoPersistence:
         task = _task()
         p1, _ = ex._context_for(task, str(tmp_path))
         p1.run(4000, seed=20240427)
-        # _run_ler_shard persists after every shard; emulate one shard.
-        f1 = ex._run_ler_shard(task, np.random.SeedSequence(1), 1000,
-                               str(tmp_path))
+        # _run_ler_shards persists once per task after a dispatch group's
+        # last shard; emulate a group of one.
+        [f1] = ex._run_ler_shards([(task, np.random.SeedSequence(1), 1000)],
+                                  str(tmp_path))
         ex._TASK_MEMO.clear()
         p2, _ = ex._context_for(task, str(tmp_path))
         assert p2.preloaded_memo_entries > 0
@@ -192,6 +193,31 @@ class TestMemoPersistence:
         f2 = ex._run_ler_shard(task, np.random.SeedSequence(1), 1000,
                                str(tmp_path))
         assert f2[0] == f1[0]
+
+    def test_group_persists_once_per_task(self, tmp_path, monkeypatch):
+        """An 8-shard, 2-task dispatch group saves 2 memos, not 8, in the
+        order the tasks first appear, after its last shard."""
+        tasks = [_task(0.01), _task(0.02)]
+        jobs = [(tasks[t], np.random.SeedSequence(i), 128)
+                for i, t in enumerate([0, 1, 0, 0, 1, 1, 0, 1])]
+        ran, puts = [], []
+        real_put, real_shard = ResultCache.put, ex._run_ler_shard
+
+        def counting_put(cache, key, record):
+            puts.append((key, len(ran)))  # shards run before this save
+            return real_put(cache, key, record)
+
+        def counting_shard(*args):
+            ran.append(args[0])
+            return real_shard(*args)
+
+        monkeypatch.setattr(ResultCache, "put", counting_put)
+        monkeypatch.setattr(ex, "_run_ler_shard", counting_shard)
+        out = ex._run_ler_shards(jobs, str(tmp_path))
+        assert len(out) == 8
+        assert puts == [(memo_cache_key(t.content_hash(), t.decoder), 8)
+                        for t in tasks]
+        assert _saved_memos(tmp_path) == {key for key, _ in puts}
 
     def test_unionfind_memo_isolated(self, tmp_path):
         mwpm, uf = _task(), _task(decoder="unionfind")

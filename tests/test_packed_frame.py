@@ -112,6 +112,18 @@ class TestBitpack:
         if bitpack._HAS_BITWISE_COUNT:
             assert int(np.bitwise_count(words).sum()) == expected
 
+    def test_row_popcounts_fast_path_matches_fallback(self, monkeypatch):
+        from repro.stabilizer import bitpack
+
+        rng = np.random.default_rng(7)
+        words = rng.integers(0, 2**64, size=(6, 3), dtype=np.uint64)
+        words[0] = 0
+        words[-1] = np.uint64(2**64 - 1)
+        expected = [sum(bin(int(w)).count("1") for w in row) for row in words]
+        assert bitpack.row_popcounts(words).tolist() == expected
+        monkeypatch.setattr(bitpack, "_HAS_BITWISE_COUNT", False)
+        assert bitpack.row_popcounts(words).tolist() == expected
+
     def test_popcount_fallback_used_when_bitwise_count_missing(self, monkeypatch):
         """Pre-2.0 numpy takes the unpackbits path and counts identically."""
         from repro.stabilizer import bitpack
